@@ -43,7 +43,7 @@ use std::time::Instant;
 use freq::{Governor, UncorePolicy};
 use mpisim::collective::{self, Algorithm};
 use mpisim::Cluster;
-use simcore::{telemetry, Engine, Event, FlowSpec, Pcg32, SimTime, TimerId};
+use simcore::{quantile, telemetry, Engine, Event, FlowSpec, Pcg32, SimTime, TimerId};
 use topology::fabric::FabricPreset;
 use topology::{tiny2x2, BindingPolicy, Placement};
 
@@ -186,15 +186,6 @@ fn run_collective(alg: Algorithm, ranks: usize, payload: usize) -> RunResult {
     }
 }
 
-fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    }
-}
-
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
@@ -246,8 +237,8 @@ fn main() {
             .map(|r| r.flow_events as f64 / r.wall_s.max(1e-9))
             .collect();
         fl_rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med_ev = median(&ev_rates);
-        let med_fl = median(&fl_rates);
+        let med_ev = quantile(&ev_rates, 0.5);
+        let med_fl = quantile(&fl_rates, 0.5);
         let spread_pct =
             100.0 * (ev_rates[ev_rates.len() - 1] - ev_rates[0]) / med_ev.max(1e-9);
 
@@ -321,7 +312,7 @@ fn main() {
             .map(|r| r.events as f64 / r.wall_s.max(1e-9))
             .collect();
         ev_rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med_ev = median(&ev_rates);
+        let med_ev = quantile(&ev_rates, 0.5);
         let spread_pct =
             100.0 * (ev_rates[ev_rates.len() - 1] - ev_rates[0]) / med_ev.max(1e-9);
 
@@ -364,7 +355,7 @@ fn main() {
         if let Some(limit) = ar_max_wall {
             let mut walls: Vec<f64> = runs.iter().map(|r| r.wall_s).collect();
             walls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let med_wall = median(&walls);
+            let med_wall = quantile(&walls, 0.5);
             if med_wall > limit {
                 eprintln!(
                     "FAIL: {} ranks: median allreduce wall {:.1} s over limit {:.1} s",
@@ -406,7 +397,7 @@ fn main() {
             .map(|r| r.events as f64 / r.wall_s.max(1e-9))
             .collect();
         ev_rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med_ev = median(&ev_rates);
+        let med_ev = quantile(&ev_rates, 0.5);
         let spread_pct =
             100.0 * (ev_rates[ev_rates.len() - 1] - ev_rates[0]) / med_ev.max(1e-9);
 

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use simcore::cancel::{self, CancelToken};
 use simcore::telemetry::{self, Journal, Lane, Record, RecordKind};
-use simcore::{SimTime, SplitMix64};
+use simcore::{SimPaths, SimTime, SplitMix64};
 
 use crate::codec::{Dec, Enc};
 use crate::experiments::Fidelity;
@@ -728,17 +728,22 @@ pub fn run_set_with_store(
 
     let next = AtomicUsize::new(0);
     let workers = opts.jobs.clamp(1, tasks.len().max(1));
+    // Workers run on fresh threads, so they re-install the caller's path
+    // selection (DESIGN.md §13.6).
+    let paths = SimPaths::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks.len() {
-                    break;
-                }
-                let (ei, pi) = tasks[t];
-                let outcome =
-                    execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref());
-                *results[ei][pi].lock().expect("result slot poisoned") = Some(outcome);
+            scope.spawn(|| {
+                SimPaths::scoped(paths, || loop {
+                    let t = next.fetch_add(1, Ordering::Relaxed);
+                    if t >= tasks.len() {
+                        break;
+                    }
+                    let (ei, pi) = tasks[t];
+                    let outcome =
+                        execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref());
+                    *results[ei][pi].lock().expect("result slot poisoned") = Some(outcome);
+                })
             });
         }
     });
@@ -876,15 +881,18 @@ pub fn run_outcomes_with_store(
         (0..plan.len()).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = opts.jobs.clamp(1, plan.len().max(1));
+    let paths = SimPaths::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= plan.len() {
-                    break;
-                }
-                let outcome = execute_point(exp, &plan[t], opts, &cache, store.as_ref());
-                *results[t].lock().expect("result slot poisoned") = Some(outcome);
+            scope.spawn(|| {
+                SimPaths::scoped(paths, || loop {
+                    let t = next.fetch_add(1, Ordering::Relaxed);
+                    if t >= plan.len() {
+                        break;
+                    }
+                    let outcome = execute_point(exp, &plan[t], opts, &cache, store.as_ref());
+                    *results[t].lock().expect("result slot poisoned") = Some(outcome);
+                })
             });
         }
     });

@@ -384,10 +384,6 @@ fn rate(j: &Journal, name: &str, per: f64) -> f64 {
     }
 }
 
-fn median(samples: &[f64]) -> f64 {
-    Summary::of(samples).median
-}
-
 /// Communication-alone measurement: counter rates + alone medians.
 /// Core-count- and family-independent, memoized per (machine, placement,
 /// metric).
@@ -421,8 +417,8 @@ fn measure_comm_alone(spec: &PairSpec, fidelity: Fidelity, seed: u64) -> Result<
         match_probes_per_s: rate(&j, "mpi.match.probes", per),
         fluid_reallocs_per_s: rate(&j, "fluid.reallocs", per),
         engine_events_per_s: rate(&j, "engine.events", per),
-        lat_alone_us: median(&res.lat_alone()),
-        bw_alone: median(&res.bw_alone()),
+        lat_alone_us: Summary::of(&res.lat_alone()).median,
+        bw_alone: Summary::of(&res.bw_alone()).median,
         lat_reps: res.lat_alone(),
         bw_reps: res.bw_alone(),
     })
@@ -476,9 +472,9 @@ fn measure_compute_alone(
         freq_transitions_per_s: rate(&j, "freq.transitions", per),
         fluid_reallocs_per_s: rate(&j, "fluid.reallocs", per),
         engine_events_per_s: rate(&j, "engine.events", per),
-        bw_alone: median(&res.compute_bw_alone()),
-        flops_alone: median(&res.flops_alone()),
-        stall_frac_alone: median(&stall),
+        bw_alone: Summary::of(&res.compute_bw_alone()).median,
+        flops_alone: Summary::of(&res.flops_alone()).median,
+        stall_frac_alone: Summary::of(&stall).median,
         bw_reps: res.compute_bw_alone(),
         flops_reps: res.flops_alone(),
     })
@@ -623,17 +619,17 @@ fn penalties(
 ) -> (f64, f64) {
     let comm_penalty = match spec.metric {
         Metric::Bandwidth => {
-            let t = median(&together.bw_together());
+            let t = Summary::of(&together.bw_together()).median;
             if t > 0.0 {
-                median(&comm.bw_reps) / t
+                Summary::of(&comm.bw_reps).median / t
             } else {
                 1.0
             }
         }
         Metric::Latency => {
-            let a = median(&comm.lat_reps);
+            let a = Summary::of(&comm.lat_reps).median;
             if a > 0.0 {
-                median(&together.lat_together()) / a
+                Summary::of(&together.lat_together()).median / a
             } else {
                 1.0
             }
@@ -642,13 +638,13 @@ fn penalties(
     // Computation penalty from the flop rate (defined for every family);
     // memory-bound families fall back to bandwidth if the flop rate is
     // degenerate.
-    let ft = median(&together.flops_together());
-    let compute_penalty = if ft > 0.0 && median(&comp.flops_reps) > 0.0 {
-        median(&comp.flops_reps) / ft
+    let ft = Summary::of(&together.flops_together()).median;
+    let compute_penalty = if ft > 0.0 && Summary::of(&comp.flops_reps).median > 0.0 {
+        Summary::of(&comp.flops_reps).median / ft
     } else {
-        let bt = median(&together.compute_bw_together());
-        if bt > 0.0 && median(&comp.bw_reps) > 0.0 {
-            median(&comp.bw_reps) / bt
+        let bt = Summary::of(&together.compute_bw_together()).median;
+        if bt > 0.0 && Summary::of(&comp.bw_reps).median > 0.0 {
+            Summary::of(&comp.bw_reps).median / bt
         } else {
             1.0
         }

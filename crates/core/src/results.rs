@@ -7,26 +7,8 @@
 //! shallow schema).
 
 use crate::report::FigureData;
+use simcore::telemetry::esc;
 use std::fmt::Write as _;
-
-/// Escape a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format an f64 as JSON (finite → shortest float, non-finite → null).
 fn num(v: f64) -> String {
@@ -183,12 +165,6 @@ mod tests {
         // Balanced braces/brackets.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 
     #[test]

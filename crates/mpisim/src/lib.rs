@@ -28,7 +28,6 @@ pub mod pingpong;
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use freq::{Activity, FreqModel, Governor, UncorePolicy};
 use memsim::exec::{Executor, JobId, JobSpec, JobStats};
@@ -36,17 +35,9 @@ use memsim::MemSystem;
 use netsim::{NetEvent, NetSim, NodeRef, TransferId};
 use simcore::faults::{FaultPlan, FaultPlanError};
 use simcore::telemetry::{self, Lane};
-use simcore::{tags, Engine, EngineError, Event, JitterFamily, SimTime};
+use simcore::{tags, Engine, EngineError, Event, JitterFamily, SimPaths, SimTime};
 use topology::fabric::{Fabric, FabricSpec};
 use topology::{CoreId, MachineSpec, NumaId, Placement};
-
-/// When set, clusters built afterwards match messages with the original
-/// single-queue linear scans (PR 8's matcher) instead of the indexed
-/// per-`(dst, src, tag)` bins. Retained as the equivalence reference: the
-/// whole-campaign replay in `tests/collective_equiv.rs` runs the same
-/// campaigns both ways and asserts byte-identical exports, mirroring
-/// `simcore::queue::FORCE_HEAP` / `simcore::fluid::FORCE_REFERENCE`.
-pub static FORCE_SCAN_MATCH: AtomicBool = AtomicBool::new(false);
 
 /// A request handle for a non-blocking operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,9 +137,9 @@ struct MatchBin {
 }
 
 /// Message-matching state. The default `Indexed` form makes post, match and
-/// cancel O(1) amortised at any rank count; `Scan` is PR 8's single-queue
-/// linear matcher, selected by [`FORCE_SCAN_MATCH`] at cluster build and
-/// kept as the byte-identity reference.
+/// cancel O(1) amortised at any rank count; `Scan` is the original
+/// single-queue linear matcher, selected by [`SimPaths::scan_match`] at
+/// cluster build and kept as the byte-identity reference.
 ///
 /// The dense side tables rely on [`TransferId`]s being allocated in
 /// lockstep with send requests: `Cluster` is the only `start_send` caller,
@@ -183,8 +174,10 @@ enum Matcher {
 }
 
 impl Matcher {
+    /// The matcher this thread's [`SimPaths`] selects.
     fn new() -> Matcher {
-        if FORCE_SCAN_MATCH.load(Ordering::Relaxed) {
+        if SimPaths::current().scan_match {
+            telemetry::counter_add("paths.scan_match", 1);
             Matcher::Scan {
                 posted: VecDeque::new(),
                 unexpected: VecDeque::new(),
@@ -956,6 +949,14 @@ impl Cluster {
     }
 }
 
+// A `Cluster` (with the `Engine` and `NetSim` inside it) can be built on
+// one thread and run on another; this fails to compile if it stops being
+// `Send + Sync`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Cluster>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,9 +1034,11 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(move || {
                     telemetry::install();
-                    FORCE_SCAN_MATCH.store(force_scan, Ordering::Relaxed);
-                    let mut c = cluster();
-                    FORCE_SCAN_MATCH.store(false, Ordering::Relaxed);
+                    let paths = SimPaths {
+                        scan_match: force_scan,
+                        ..SimPaths::FAST
+                    };
+                    let mut c = SimPaths::scoped(paths, cluster);
                     for t in 0..1000u32 {
                         c.isend(0, 64, t, 1);
                     }

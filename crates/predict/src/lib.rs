@@ -31,9 +31,3 @@ pub mod learn;
 
 pub use advisor::{Advisor, RankedPlacement};
 pub use learn::{cross_validate, train, CvReport, Model, Params};
-
-/// Convenience re-export of [`simcheck::stats::median`] for binaries that
-/// don't link simcheck directly.
-pub fn median_of(xs: &[f64]) -> f64 {
-    simcheck::stats::median(xs)
-}

@@ -12,9 +12,8 @@ use std::fmt;
 
 use crate::cancel::{self, CancelToken};
 use crate::fluid::{FlowId, FlowReport, FlowSpec, FluidNet, ResourceId};
-#[cfg(any(test, feature = "reference-queue"))]
-use crate::queue::{HeapQueue, FORCE_HEAP};
-use crate::queue::{EventQueue, QueueEntry, TimingWheel};
+use crate::paths::SimPaths;
+use crate::queue::{EventQueue, HeapQueue, QueueEntry, TimingWheel};
 use crate::telemetry::{self, Lane};
 use crate::time::SimTime;
 
@@ -47,12 +46,11 @@ impl Event {
     }
 }
 
-/// The engine's timer queue: the production timing wheel, or (under tests /
-/// the `reference-queue` feature) the retained binary-heap reference so the
-/// two can be compared differentially on whole campaigns.
+/// The engine's timer queue: the production timing wheel, or the retained
+/// binary-heap reference under [`SimPaths::heap_queue`], so the two can be
+/// compared differentially on whole campaigns.
 enum TimerQueue {
     Wheel(TimingWheel),
-    #[cfg(any(test, feature = "reference-queue"))]
     Heap(HeapQueue),
 }
 
@@ -61,7 +59,6 @@ impl TimerQueue {
     fn get(&self) -> &dyn EventQueue {
         match self {
             TimerQueue::Wheel(w) => w,
-            #[cfg(any(test, feature = "reference-queue"))]
             TimerQueue::Heap(h) => h,
         }
     }
@@ -70,7 +67,6 @@ impl TimerQueue {
     fn get_mut(&mut self) -> &mut dyn EventQueue {
         match self {
             TimerQueue::Wheel(w) => w,
-            #[cfg(any(test, feature = "reference-queue"))]
             TimerQueue::Heap(h) => h,
         }
     }
@@ -205,16 +201,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an empty engine at time zero.
+    /// Create an empty engine at time zero, on the timer queue and solver
+    /// this thread's [`SimPaths`] selects.
     pub fn new() -> Self {
-        #[cfg(any(test, feature = "reference-queue"))]
-        let timers = if FORCE_HEAP.load(std::sync::atomic::Ordering::Relaxed) {
+        let timers = if SimPaths::current().heap_queue {
+            telemetry::counter_add("paths.heap_queue", 1);
             TimerQueue::Heap(HeapQueue::new())
         } else {
             TimerQueue::Wheel(TimingWheel::new())
         };
-        #[cfg(not(any(test, feature = "reference-queue")))]
-        let timers = TimerQueue::Wheel(TimingWheel::new());
         Engine {
             now: SimTime::ZERO,
             net: FluidNet::new(),
@@ -226,23 +221,6 @@ impl Engine {
             cancel: cancel::current(),
             cancel_stride: 0,
         }
-    }
-
-    /// Create an empty engine running on the retained binary-heap reference
-    /// queue instead of the timing wheel, for differential comparison
-    /// (the queue analogue of `fluid::reference`).
-    #[cfg(any(test, feature = "reference-queue"))]
-    pub fn with_heap_queue() -> Self {
-        let mut e = Engine::new();
-        e.timers = TimerQueue::Heap(HeapQueue::new());
-        e
-    }
-
-    /// Which queue backs this engine — lets replay tests assert the
-    /// `FORCE_HEAP` switch actually engaged before trusting a comparison.
-    #[cfg(any(test, feature = "reference-queue"))]
-    pub fn uses_heap_queue(&self) -> bool {
-        matches!(self.timers, TimerQueue::Heap(_))
     }
 
     /// Current simulated time.
@@ -417,13 +395,7 @@ impl Engine {
     /// identical across queue implementations (determinism policy,
     /// DESIGN.md §13).
     pub fn stall_diagnostic(&self) -> StallDiagnostic {
-        let pending_timer_tags = self
-            .timers
-            .get()
-            .live_entries()
-            .iter()
-            .map(|e| e.tag)
-            .collect();
+        let pending_timer_tags = self.timers.get().live_entries().iter().map(|e| e.tag).collect();
         StallDiagnostic {
             now: self.now,
             pending_timer_tags,

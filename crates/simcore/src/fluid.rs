@@ -48,6 +48,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::paths::{SimPaths, Solve};
+use crate::telemetry;
+
 /// Identifies a resource inside a [`FluidNet`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ResourceId(pub(crate) u32);
@@ -122,7 +125,6 @@ pub(crate) const FREE_SLOT: u64 = u64::MAX;
 impl FlowArena {
     /// Number of slots (live + free). Only the scratch-rebuild reference
     /// solver needs this; the incremental path tracks live slots via `order`.
-    #[cfg(any(test, feature = "reference-solver"))]
     fn len(&self) -> usize {
         self.id.len()
     }
@@ -160,23 +162,6 @@ pub struct ReallocStats {
     pub waterfill: u64,
 }
 
-/// When set, [`FluidNet::reallocate`] delegates to [`reference::reallocate`]
-/// (the from-scratch solver) for every call. Used by the whole-campaign
-/// replay test to prove the incremental solver does not change a single
-/// output byte.
-#[cfg(any(test, feature = "reference-solver"))]
-pub static FORCE_REFERENCE: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// How [`FluidNet::reallocate`] schedules independent dirty components:
-/// `0` (auto) solves them on a scoped thread pool once a pass is large
-/// enough ([`PARALLEL_FLOW_THRESHOLD`]), `1` forces serial, `2` forces
-/// parallel whenever there are at least two components. The allocation is
-/// byte-identical either way — components are disjoint and solutions are
-/// applied in component order — which the whole-campaign replay test
-/// asserts by running under both forced modes.
-pub static PARALLEL_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
 /// In auto mode, the minimum total flows across a pass's dirty components
 /// before the scoped thread pool is worth its spawn cost. Deliberately a
 /// function of workload shape only (never of the host's core count), so the
@@ -198,6 +183,12 @@ pub const PARALLEL_MIN_COMPONENT_FLOWS: u64 = 64;
 /// The set of resources and active flows, with max-min allocation.
 #[derive(Default)]
 pub struct FluidNet {
+    /// When set, [`FluidNet::reallocate`] delegates to
+    /// [`reference::reallocate`] ([`SimPaths::reference_solver`], fixed at
+    /// construction).
+    reference: bool,
+    /// Component scheduling ([`SimPaths::solve`], fixed at construction).
+    solve: Solve,
     resources: Vec<Resource>,
     /// Flow slab in structure-of-arrays layout; freed slots are reused via
     /// `free`. Slot numbers are meaningless outside this struct — flows are
@@ -246,9 +237,19 @@ fn mark_res(res_dirty: &mut [bool], dirty_list: &mut Vec<u32>, r: ResourceId) {
 }
 
 impl FluidNet {
-    /// Create an empty network.
+    /// Create an empty network on the solver this thread's [`SimPaths`]
+    /// selects. (`FluidNet::default()` is always the incremental, auto-mode
+    /// solver.)
     pub fn new() -> Self {
-        FluidNet::default()
+        let paths = SimPaths::current();
+        if paths.reference_solver {
+            telemetry::counter_add("paths.reference_solver", 1);
+        }
+        FluidNet {
+            reference: paths.reference_solver,
+            solve: paths.solve,
+            ..FluidNet::default()
+        }
     }
 
     /// Add a resource with the given capacity (units/s).
@@ -458,8 +459,7 @@ impl FluidNet {
     /// are re-solved; everything else keeps its cached rates. The result is
     /// bit-identical to the from-scratch [`reference::reallocate`].
     pub fn reallocate(&mut self) -> ReallocStats {
-        #[cfg(any(test, feature = "reference-solver"))]
-        if FORCE_REFERENCE.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.reference {
             return reference::reallocate(self);
         }
         self.dirty = false;
@@ -523,15 +523,15 @@ impl FluidNet {
         // function of the (now immutable) arena, and solutions are applied
         // serially in component order — so the scoped thread pool produces
         // byte-identical state to the serial loop (DESIGN.md §13).
-        let parallel = match PARALLEL_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-            1 => false,
-            2 => comps.len() >= 2,
+        let parallel = match self.solve {
+            Solve::Serial => false,
+            Solve::Parallel => comps.len() >= 2,
             // Auto: a function of workload shape only, never of the host's
             // core count — keeps telemetry counters machine-independent.
             // Fabric-shaped passes (many tiny components) stay serial even
             // at high flow totals: the per-component solves are too small
             // to amortize a worker spawn.
-            _ => {
+            Solve::Auto => {
                 comps.len() >= 2
                     && stats.flows_visited >= PARALLEL_FLOW_THRESHOLD
                     && stats.flows_visited / comps.len() as u64 >= PARALLEL_MIN_COMPONENT_FLOWS
@@ -966,7 +966,6 @@ fn apply_region(
 /// [`solve_region`] per component. Any bug in the incremental maintenance
 /// (a stale member list, a missed dirty bit, a component split too early)
 /// shows up as a bitwise rate mismatch in the `prop_fluid_equiv` suite.
-#[cfg(any(test, feature = "reference-solver"))]
 pub mod reference {
     use super::*;
 
@@ -1340,14 +1339,17 @@ mod tests {
 
     #[test]
     fn parallel_components_match_serial_bitwise() {
-        use std::sync::atomic::Ordering;
-        let (mut serial, flows, rs) = multi_component_net(6);
-        let (mut par, _, _) = multi_component_net(6);
-        PARALLEL_MODE.store(1, Ordering::Relaxed);
+        let pinned = |solve| {
+            let paths = SimPaths {
+                solve,
+                ..SimPaths::FAST
+            };
+            SimPaths::scoped(paths, || multi_component_net(6))
+        };
+        let (mut serial, flows, rs) = pinned(Solve::Serial);
+        let (mut par, _, _) = pinned(Solve::Parallel);
         let ss = serial.reallocate();
-        PARALLEL_MODE.store(2, Ordering::Relaxed);
         let sp = par.reallocate();
-        PARALLEL_MODE.store(0, Ordering::Relaxed);
         assert_eq!(ss.components, 6);
         assert_eq!(ss.components, sp.components);
         assert_eq!(ss.flows_visited, sp.flows_visited);

@@ -43,7 +43,6 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TimerId(pub(crate) u64);
 
-#[cfg(any(test, feature = "reference-queue"))]
 impl TimerId {
     /// Build a raw id — for queue tests and differential harnesses that
     /// drive queues directly (the engine allocates its own ids).
@@ -325,8 +324,7 @@ impl EventQueue for TimingWheel {
 
 /// The pre-refactor `BinaryHeap` + tombstone queue, retained as the
 /// differential reference for [`TimingWheel`] (the `fluid::reference`
-/// pattern). Only compiled for tests and the `reference-queue` feature.
-#[cfg(any(test, feature = "reference-queue"))]
+/// pattern), selected for engines by [`crate::SimPaths::heap_queue`].
 #[derive(Default)]
 pub struct HeapQueue {
     heap: BinaryHeap<Reverse<QueueEntry>>,
@@ -335,7 +333,6 @@ pub struct HeapQueue {
     live: usize,
 }
 
-#[cfg(any(test, feature = "reference-queue"))]
 impl HeapQueue {
     /// Empty heap queue.
     pub fn new() -> Self {
@@ -343,7 +340,6 @@ impl HeapQueue {
     }
 }
 
-#[cfg(any(test, feature = "reference-queue"))]
 impl EventQueue for HeapQueue {
     fn insert(&mut self, entry: QueueEntry) {
         self.live += 1;
@@ -402,12 +398,6 @@ impl EventQueue for HeapQueue {
         out
     }
 }
-
-/// When set, new engines use the retained [`HeapQueue`] instead of the
-/// timing wheel. Used by the whole-campaign replay test to prove the wheel
-/// does not change a single output byte (mirrors `fluid::FORCE_REFERENCE`).
-#[cfg(any(test, feature = "reference-queue"))]
-pub static FORCE_HEAP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 #[cfg(test)]
 mod tests {

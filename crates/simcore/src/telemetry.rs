@@ -377,14 +377,19 @@ impl Journal {
     }
 }
 
-/// Escape a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes, `\n`, `\r` and `\t` get their short escapes, other control
+/// characters `\u00XX`. The one escaper behind every JSON export (figure
+/// JSON and the Chrome trace).
+pub fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -638,6 +643,13 @@ mod tests {
     /// parallel test execution never shares state.
     fn isolated<R: Send>(f: impl FnOnce() -> R + Send) -> R {
         std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
+    }
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc("\r\t"), "\\r\\t");
+        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -13,6 +13,15 @@ cargo test -q
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> no process-global path switches"
+# Reference paths are selected per thread through simcore::SimPaths
+# (DESIGN.md §13.6); a static AtomicBool/AtomicU8 switch would leak
+# between concurrently running tests.
+if grep -rnE 'static [A-Z_]+: .*Atomic(Bool|U8)' crates/*/src; then
+  echo "process-global switch found: select reference paths with simcore::SimPaths" >&2
+  exit 1
+fi
+
 echo "==> repro smoke: one figure through the parallel campaign engine"
 cargo run --release -p bench --bin repro -- --quick --only fig1 --jobs 2
 

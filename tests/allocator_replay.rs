@@ -1,67 +1,55 @@
 //! Whole-campaign allocator replay: the incremental max-min solver must not
 //! change a single byte of the figure exports.
 //!
-//! `simcore::fluid::FORCE_REFERENCE` makes every reallocation go through the
-//! retained from-scratch solver (`fluid::reference`). Running the same
-//! campaign slice both ways and comparing the `--json` export byte-for-byte
-//! proves the incremental solver (inverse index + component dirty tracking)
-//! is observationally identical at full-system scale — on top of the
-//! per-solve bitwise equivalence the `prop_fluid_equiv` suite establishes.
+//! Under the `simcore::SimPaths` selection `reference_solver`, every fluid
+//! net re-solves each allocation with the retained from-scratch solver
+//! (`fluid::reference`). Running the same campaign slice both ways and
+//! comparing the `--json` export byte-for-byte proves the incremental
+//! solver (inverse index + component dirty tracking) is observationally
+//! identical at full-system scale — on top of the per-solve bitwise
+//! equivalence the `prop_fluid_equiv` suite establishes. Both runs record
+//! telemetry, and the merged journal's `paths.reference_solver` counter
+//! proves the reference run really used the from-scratch solver.
 //!
 //! fig4 exercises the baseline cache and multi-resource transfer paths;
 //! fig9 is the allocator-heaviest experiment (per-worker polling flows that
 //! are cancelled and restarted constantly — exactly the churn the dirty
 //! tracking accelerates).
 
-use std::sync::atomic::Ordering;
+use std::collections::BTreeMap;
 
-use interference::campaign::{run_set, CampaignOptions};
+use interference::campaign::{run_set_with_report, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
-use simcore::fluid::FORCE_REFERENCE;
+use simcore::SimPaths;
 
-fn campaign_json() -> String {
+/// The fig4 + fig9 Quick campaign under `paths`: its `--json` export and
+/// the merged journal's counters.
+fn campaign(paths: SimPaths) -> (String, BTreeMap<&'static str, u64>) {
     let exps: Vec<_> = ["fig4", "fig9"]
         .iter()
         .map(|n| experiments::find(n).expect("registered"))
         .collect();
-    let figures: Vec<_> = run_set(&exps, &CampaignOptions::serial(Fidelity::Quick))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect();
-    figures_to_json(&figures)
+    let opts = CampaignOptions::serial(Fidelity::Quick).with_telemetry(true);
+    let (runs, report) = SimPaths::scoped(paths, || run_set_with_report(&exps, &opts));
+    let figures: Vec<_> = runs.into_iter().flat_map(|r| r.figures).collect();
+    let counters = report.journal.expect("telemetry was on").counters;
+    (figures_to_json(&figures), counters)
 }
 
 #[test]
 fn quick_fig4_fig9_json_identical_with_either_solver() {
-    // Probe that the switch really reroutes allocation: the reference
-    // solver re-solves *every* component, the incremental one only the
-    // dirty component — visible in the realloc stats.
-    let mut net = simcore::FluidNet::new();
-    let a = net.add_resource("a", 10.0);
-    let b = net.add_resource("b", 10.0);
-    for r in [a, b] {
-        net.start_flow(simcore::FlowSpec {
-            path: vec![r],
-            volume: 1e9,
-            weight: 1.0,
-            cap: None,
-            tag: 0,
-        });
-    }
-    net.reallocate();
-    net.set_capacity(a, 20.0); // dirties only `a`'s component
-    FORCE_REFERENCE.store(true, Ordering::Relaxed);
-    let stats = net.reallocate();
-    FORCE_REFERENCE.store(false, Ordering::Relaxed);
-    assert_eq!(stats.components, 2, "FORCE_REFERENCE did not engage");
-    net.set_capacity(a, 30.0);
-    assert_eq!(net.reallocate().components, 1, "incremental solve did not resume");
-
-    let fast = campaign_json();
-    FORCE_REFERENCE.store(true, Ordering::Relaxed);
-    let reference = campaign_json();
-    FORCE_REFERENCE.store(false, Ordering::Relaxed);
+    let (fast, fast_counters) = campaign(SimPaths::FAST);
+    let (reference, reference_counters) = campaign(SimPaths {
+        reference_solver: true,
+        ..SimPaths::FAST
+    });
+    let engaged = reference_counters.get("paths.reference_solver").copied();
+    assert!(engaged.unwrap_or(0) > 0, "reference solver not engaged");
+    assert!(
+        !fast_counters.keys().any(|k| k.starts_with("paths.")),
+        "fast run engaged a reference twin"
+    );
     assert_eq!(
         fast.len(),
         reference.len(),

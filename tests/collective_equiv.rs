@@ -6,24 +6,26 @@
 //! campaign engine). These tests pin the stack's determinism guarantee at
 //! full-campaign scale: the rendered figure JSON must be byte-identical
 //!
-//! * under either engine timer queue (timing wheel vs `FORCE_HEAP`),
+//! * under either engine timer queue (timing wheel vs the
+//!   `simcore::SimPaths::heap_queue` reference),
+//! * under either message matcher (indexed bins vs the
+//!   `SimPaths::scan_match` linear scan), at `--jobs 1` and `--jobs 4`,
 //! * at any worker count (`--jobs 1` vs `--jobs 4`), and
 //! * across a crash-and-resume through the result store.
+//!
+//! Each reference run records telemetry and asserts from the merged
+//! journal that its twin was engaged (`paths.*` counter > 0) while the
+//! fast run engaged none.
 //!
 //! The 64-rank sweep points make this the widest determinism surface in
 //! the suite: one reordered event anywhere in 8 000+ messages shows up as
 //! a differing byte here.
 
-use std::sync::atomic::Ordering;
-
 use interference::campaign::{self, CampaignOptions, StoreCtx};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
 use interference::store::ResultStore;
-use mpisim::collective::FORCE_SCHEDULE_REBUILD;
-use mpisim::FORCE_SCAN_MATCH;
-use netsim::FORCE_ROUTE_LOOKUP;
-use simcore::queue::FORCE_HEAP;
+use simcore::SimPaths;
 
 fn collective_experiments() -> Vec<&'static dyn campaign::Experiment> {
     ["collective_contention", "collective_dvfs"]
@@ -43,6 +45,33 @@ fn campaign_json(jobs: usize) -> String {
     figures_to_json(&figures)
 }
 
+/// Runs the collective campaign at `jobs` under the fast paths and under
+/// `reference`, both with telemetry on. Asserts that the reference run
+/// engaged `twin` (its `paths.*` counter is positive) and that the fast
+/// run engaged no twin, then returns both `--json` exports.
+fn fast_and_reference(jobs: usize, reference: SimPaths, twin: &str) -> (String, String) {
+    let run = |paths| {
+        let opts = CampaignOptions::new(Fidelity::Quick, jobs).with_telemetry(true);
+        let (runs, report) = SimPaths::scoped(paths, || {
+            campaign::run_set_with_report(&collective_experiments(), &opts)
+        });
+        let figures: Vec<_> = runs.into_iter().flat_map(|r| r.figures).collect();
+        let counters = report.journal.expect("telemetry was on").counters;
+        (figures_to_json(&figures), counters)
+    };
+    let (fast, fast_counters) = run(SimPaths::FAST);
+    let (slow, slow_counters) = run(reference);
+    assert!(
+        slow_counters.get(twin).copied().unwrap_or(0) > 0,
+        "{twin} not engaged at jobs={jobs}"
+    );
+    assert!(
+        !fast_counters.keys().any(|k| k.starts_with("paths.")),
+        "fast run engaged a reference twin at jobs={jobs}"
+    );
+    (fast, slow)
+}
+
 fn assert_identical(a: &str, b: &str, what: &str) {
     assert!(
         a == b,
@@ -59,10 +88,11 @@ fn assert_identical(a: &str, b: &str, what: &str) {
 /// Timing-wheel vs binary-heap timer queue: same campaign bytes.
 #[test]
 fn collective_campaign_json_identical_with_either_queue() {
-    let wheel = campaign_json(1);
-    FORCE_HEAP.store(true, Ordering::Relaxed);
-    let heap = campaign_json(1);
-    FORCE_HEAP.store(false, Ordering::Relaxed);
+    let heap = SimPaths {
+        heap_queue: true,
+        ..SimPaths::FAST
+    };
+    let (wheel, heap) = fast_and_reference(1, heap, "paths.heap_queue");
     assert_identical(&wheel, &heap, "timer queue changed collective campaign output");
 }
 
@@ -121,29 +151,18 @@ fn collective_campaign_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(store.dir());
 }
 
-/// Runs `f` with the three collective fast paths pinned to their reference
-/// modes: linear-scan message matching, per-hop route lookup, and schedule
-/// rebuild on every call. The pins are snapshotted when a cluster/fabric is
-/// built (rebuild is checked per call), so bracketing the whole campaign is
-/// enough; they are restored before returning.
-fn with_reference_paths<T>(f: impl FnOnce() -> T) -> T {
-    FORCE_SCAN_MATCH.store(true, Ordering::Relaxed);
-    FORCE_ROUTE_LOOKUP.store(true, Ordering::Relaxed);
-    FORCE_SCHEDULE_REBUILD.store(true, Ordering::Relaxed);
-    let out = f();
-    FORCE_SCAN_MATCH.store(false, Ordering::Relaxed);
-    FORCE_ROUTE_LOOKUP.store(false, Ordering::Relaxed);
-    FORCE_SCHEDULE_REBUILD.store(false, Ordering::Relaxed);
-    out
-}
+/// The matching reference: every cluster matches messages with the
+/// single-queue linear scan instead of the indexed bins.
+const SCAN_MATCH: SimPaths = SimPaths {
+    scan_match: true,
+    ..SimPaths::FAST
+};
 
-/// Indexed matching + interned routes + memoized schedules vs the pinned
-/// reference paths: same campaign bytes. This is the ISSUE 9 equivalence
-/// guarantee — the collective fast paths are pure perf, zero semantics.
+/// Indexed matching vs the linear-scan reference: same campaign bytes.
+/// The collective fast paths are pure perf, zero semantics.
 #[test]
 fn collective_campaign_json_identical_with_reference_paths() {
-    let fast = campaign_json(1);
-    let reference = with_reference_paths(|| campaign_json(1));
+    let (fast, reference) = fast_and_reference(1, SCAN_MATCH, "paths.scan_match");
     assert_identical(
         &fast,
         &reference,
@@ -151,13 +170,13 @@ fn collective_campaign_json_identical_with_reference_paths() {
     );
 }
 
-/// Same pin comparison under `--jobs 4`: the worker pool must not let the
-/// process-global schedule cache or the interned route arenas introduce a
-/// scheduling-order dependence.
+/// Same comparison under `--jobs 4`: every campaign worker must inherit
+/// the caller's selection, and neither the process-global schedule cache
+/// nor the interned route arenas may introduce a scheduling-order
+/// dependence.
 #[test]
 fn collective_campaign_json_identical_with_reference_paths_parallel() {
-    let fast = campaign_json(4);
-    let reference = with_reference_paths(|| campaign_json(4));
+    let (fast, reference) = fast_and_reference(4, SCAN_MATCH, "paths.scan_match");
     assert_identical(
         &fast,
         &reference,

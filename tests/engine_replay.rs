@@ -2,43 +2,48 @@
 //! parallel component solver must not change a single byte of the figure
 //! exports.
 //!
-//! Two switches, two independent equivalences:
+//! Two `simcore::SimPaths` selections, two independent equivalences:
 //!
-//! * `simcore::queue::FORCE_HEAP` reroutes every engine timer through the
-//!   retained `BinaryHeap` + tombstone queue (`queue::HeapQueue`). Running
-//!   the same campaign slice both ways and comparing the `--json` export
+//! * `heap_queue` reroutes every engine timer through the retained
+//!   `BinaryHeap` + tombstone queue (`queue::HeapQueue`). Running the same
+//!   campaign slice both ways and comparing the `--json` export
 //!   byte-for-byte proves the hierarchical timing wheel pops the exact same
 //!   (time, seq) event sequence at full-system scale — on top of the
 //!   per-pop equivalence the `prop_queue_equiv` suite establishes.
 //!
-//! * `simcore::fluid::PARALLEL_MODE` pins the component solver to serial
-//!   (1) or forced-parallel (2). Identical exports prove the scoped-thread
-//!   fan-out plus deterministic component-order merge reproduces the serial
-//!   float stream bit-for-bit, independent of worker count.
+//! * `solve` pins the component solver to `Serial` or `Parallel`.
+//!   Identical exports prove the scoped-thread fan-out plus deterministic
+//!   component-order merge reproduces the serial float stream
+//!   bit-for-bit, independent of worker count.
+//!
+//! Every run records telemetry, and each test asserts from the merged
+//! journal that the selected path was engaged: `paths.heap_queue` for the
+//! heap queue, `fluid.parallel_components` for the solve modes.
 //!
 //! fig4 exercises the timer-heavy rendezvous/eager protocol paths; fig9 is
 //! the churn-heaviest experiment (per-worker polling timers cancelled and
 //! restarted constantly — exactly the tombstone traffic the wheel must
 //! consume lazily without reordering).
 
-use std::sync::atomic::Ordering;
+use std::collections::BTreeMap;
 
-use interference::campaign::{run_set, CampaignOptions};
+use interference::campaign::{run_set_with_report, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
-use simcore::fluid::PARALLEL_MODE;
-use simcore::queue::FORCE_HEAP;
+use simcore::{SimPaths, Solve};
 
-fn campaign_json() -> String {
+/// The fig4 + fig9 Quick campaign under `paths`: its `--json` export and
+/// the merged journal's counters.
+fn campaign(paths: SimPaths) -> (String, BTreeMap<&'static str, u64>) {
     let exps: Vec<_> = ["fig4", "fig9"]
         .iter()
         .map(|n| experiments::find(n).expect("registered"))
         .collect();
-    let figures: Vec<_> = run_set(&exps, &CampaignOptions::serial(Fidelity::Quick))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect();
-    figures_to_json(&figures)
+    let opts = CampaignOptions::serial(Fidelity::Quick).with_telemetry(true);
+    let (runs, report) = SimPaths::scoped(paths, || run_set_with_report(&exps, &opts));
+    let figures: Vec<_> = runs.into_iter().flat_map(|r| r.figures).collect();
+    let counters = report.journal.expect("telemetry was on").counters;
+    (figures_to_json(&figures), counters)
 }
 
 fn assert_identical(fast: &str, reference: &str, what: &str) {
@@ -55,18 +60,19 @@ fn assert_identical(fast: &str, reference: &str, what: &str) {
 
 #[test]
 fn quick_fig4_fig9_json_identical_with_either_queue() {
-    // Probe that the switch really reroutes the timer queue: under
-    // FORCE_HEAP a freshly built engine reports heap backing.
-    FORCE_HEAP.store(true, Ordering::Relaxed);
-    let probe = simcore::Engine::new();
-    assert!(probe.uses_heap_queue(), "FORCE_HEAP did not engage");
-    FORCE_HEAP.store(false, Ordering::Relaxed);
-    assert!(!simcore::Engine::new().uses_heap_queue());
-
-    let wheel = campaign_json();
-    FORCE_HEAP.store(true, Ordering::Relaxed);
-    let heap = campaign_json();
-    FORCE_HEAP.store(false, Ordering::Relaxed);
+    let (wheel, fast) = campaign(SimPaths::FAST);
+    let (heap, slow) = campaign(SimPaths {
+        heap_queue: true,
+        ..SimPaths::FAST
+    });
+    assert!(
+        slow.get("paths.heap_queue").copied().unwrap_or(0) > 0,
+        "heap queue not engaged"
+    );
+    assert!(
+        !fast.keys().any(|k| k.starts_with("paths.")),
+        "fast run engaged a reference twin"
+    );
     assert_identical(&wheel, &heap, "timing wheel changed campaign output");
 }
 
@@ -74,11 +80,25 @@ fn quick_fig4_fig9_json_identical_with_either_queue() {
 fn quick_fig4_fig9_json_identical_parallel_vs_serial_solve() {
     // Quick-fidelity campaigns stay under the auto-mode flow threshold, so
     // pin the modes explicitly: forced-parallel must equal forced-serial.
-    PARALLEL_MODE.store(1, Ordering::Relaxed);
-    let serial = campaign_json();
-    PARALLEL_MODE.store(2, Ordering::Relaxed);
-    let parallel = campaign_json();
-    PARALLEL_MODE.store(0, Ordering::Relaxed);
+    let pinned = |solve| {
+        campaign(SimPaths {
+            solve,
+            ..SimPaths::FAST
+        })
+    };
+    let (serial, serial_counters) = pinned(Solve::Serial);
+    let (parallel, parallel_counters) = pinned(Solve::Parallel);
+    let parallel_components =
+        |c: &BTreeMap<&str, u64>| c.get("fluid.parallel_components").copied().unwrap_or(0);
+    assert_eq!(
+        parallel_components(&serial_counters),
+        0,
+        "serial solve went parallel"
+    );
+    assert!(
+        parallel_components(&parallel_counters) > 0,
+        "parallel solve not engaged"
+    );
     assert_identical(
         &serial,
         &parallel,
