@@ -44,7 +44,8 @@
 //!
 //! `--timeout SECS` arms a per-point wall-clock deadline: a wedged point is
 //! cooperatively cancelled at the next simulation event and recorded as
-//! `TimedOut` instead of hanging the campaign. A campaign that completes
+//! `TimedOut` instead of hanging the campaign. A timed-out point is never
+//! persisted, so a later `--resume` recomputes it. A campaign that completes
 //! partial (any failed or timed-out point, or a finalizer that could not
 //! produce its figures) exits 3 unless `--allow-partial` is passed.
 //!
@@ -80,8 +81,11 @@ use std::time::{Duration, Instant};
 use interference::campaign::{
     CampaignOptions, CampaignReport, Experiment, ExperimentRun, StoreCtx,
 };
+use interference::experiments::contention::Metric;
+use interference::experiments::harvest::Family;
 use interference::experiments::{self, Fidelity};
 use interference::store::{ResultStore, StoreStats};
+use topology::presets::Preset;
 
 fn usage() -> ! {
     eprintln!(
@@ -109,99 +113,146 @@ fn export(path: &str, bytes: &[u8], what: &str) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("predict") => return predict_cli(&args[1..], true),
-        Some("rank-placements") => return predict_cli(&args[1..], false),
-        _ => {}
+/// What `repro` was asked to do.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Mode {
+    /// Run experiments from the registry (no subcommand).
+    #[default]
+    Campaign,
+    /// `repro predict`: one placement's predicted penalty.
+    Predict,
+    /// `repro rank-placements`: every placement, best first.
+    Rank,
+}
+
+/// Every flag of every mode. `--quick`, `--jobs`, `--store` and `--resume`
+/// are shared; the rest belong to one side, and the other side rejects
+/// them as unknown.
+#[derive(Default)]
+struct Args {
+    mode: Mode,
+    quick: bool,
+    jobs: usize,
+    store_dir: Option<String>,
+    resume: bool,
+    csv_dir: Option<String>,
+    json_path: Option<String>,
+    timings_path: Option<String>,
+    trace_path: Option<String>,
+    timeout: Option<Duration>,
+    allow_partial: bool,
+    list: bool,
+    select: Option<String>,
+    only: Vec<String>,
+    ground_truth: bool,
+    preset: Option<Preset>,
+    family: Option<Family>,
+    cores: Option<u32>,
+    placement: Option<usize>,
+    metric: Option<Metric>,
+}
+
+impl Args {
+    fn fidelity(&self) -> Fidelity {
+        if self.quick {
+            Fidelity::Quick
+        } else {
+            Fidelity::Full
+        }
     }
-    let mut fidelity = Fidelity::Full;
-    let mut jobs = 1usize;
-    let mut csv_dir: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut timings_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut resume = false;
-    let mut timeout: Option<Duration> = None;
-    let mut allow_partial = false;
-    let mut list = false;
-    let mut select: Option<String> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => fidelity = Fidelity::Quick,
-            "--list" => list = true,
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--timings" => {
-                i += 1;
-                timings_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--store" => {
-                i += 1;
-                store_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--resume" => resume = true,
+}
+
+/// Parse `s` as a `T` accepted by `ok`, or exit with usage.
+fn num<T: std::str::FromStr>(s: String, ok: impl Fn(&T) -> bool) -> T {
+    s.parse().ok().filter(ok).unwrap_or_else(|| usage())
+}
+
+/// Reject a flag value that names no known `what`.
+fn unknown(what: &str, got: &str, expected: &str) -> ! {
+    eprintln!("unknown {}: {} (expected one of {})", what, got, expected);
+    usage()
+}
+
+/// The one argv parser: an optional subcommand, then flags.
+fn parse(argv: Vec<String>) -> Args {
+    let mut it = argv.into_iter().peekable();
+    let mode = match it.peek().map(String::as_str) {
+        Some("predict") => Mode::Predict,
+        Some("rank-placements") => Mode::Rank,
+        _ => Mode::Campaign,
+    };
+    if mode != Mode::Campaign {
+        it.next();
+    }
+    let mut a = Args {
+        mode,
+        jobs: 1,
+        ..Args::default()
+    };
+    while let Some(flag) = it.next() {
+        let shared = matches!(flag.as_str(), "--quick" | "--jobs" | "--store" | "--resume");
+        let advisor = matches!(
+            flag.as_str(),
+            "--ground-truth" | "--preset" | "--workload" | "--cores" | "--placement" | "--metric"
+        );
+        if !shared && advisor == (mode == Mode::Campaign) {
+            eprintln!("unknown argument: {}", flag);
+            usage();
+        }
+        let mut value = || it.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--quick" => a.quick = true,
+            "--jobs" => a.jobs = num(value(), |&n| n >= 1),
+            "--store" => a.store_dir = Some(value()),
+            "--resume" => a.resume = true,
+            "--list" => a.list = true,
+            "--csv" => a.csv_dir = Some(value()),
+            "--json" => a.json_path = Some(value()),
+            "--timings" => a.timings_path = Some(value()),
+            "--trace" => a.trace_path = Some(value()),
             "--timeout" => {
-                i += 1;
-                let secs: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| usage());
-                timeout = Some(Duration::from_secs_f64(secs));
+                let secs: f64 = num(value(), |s: &f64| s.is_finite() && *s > 0.0);
+                a.timeout = Some(Duration::from_secs_f64(secs));
             }
-            "--allow-partial" => allow_partial = true,
-            "--all" => select = None,
-            "--ext" => select = Some("ext".into()),
-            "--validate" => select = Some("validate".into()),
-            "--predict-check" => select = Some("predict-check".into()),
+            "--allow-partial" => a.allow_partial = true,
+            "--all" => a.select = None,
+            "--ext" | "--validate" | "--predict-check" => a.select = Some(flag[2..].to_string()),
             "--fuzz-budget" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
+                let n: usize = num(value(), |&n| n >= 1);
                 // The validation plan reads the budget from the environment
                 // so plan() and run_point() agree on the chunking.
                 std::env::set_var("SIMCHECK_FUZZ_BUDGET", n.to_string());
             }
-            "--fig" => {
-                i += 1;
-                let n = args.get(i).cloned().unwrap_or_else(|| usage());
-                select = Some(format!("fig{}", n));
+            "--fig" | "--table" => a.select = Some(format!("{}{}", &flag[2..], value())),
+            "--only" => a
+                .only
+                .extend(value().split(',').map(|s| s.trim().to_string())),
+            "--ground-truth" => a.ground_truth = true,
+            "--preset" => {
+                let name = value();
+                let found = Preset::clusters()
+                    .into_iter()
+                    .find(|p| p.spec().name == name);
+                let all = || Preset::clusters().map(|p| p.spec().name).join(", ");
+                a.preset = Some(found.unwrap_or_else(|| unknown("preset", &name, &all())));
             }
-            "--table" => {
-                i += 1;
-                let n = args.get(i).cloned().unwrap_or_else(|| usage());
-                select = Some(format!("table{}", n));
+            "--workload" => {
+                let tag = value();
+                let all = || Family::all().map(|f| f.tag()).join(", ");
+                let found = Family::from_tag(&tag);
+                a.family = Some(found.unwrap_or_else(|| unknown("workload family", &tag, &all())));
             }
-            "--only" => {
-                i += 1;
-                let names = args.get(i).cloned().unwrap_or_else(|| usage());
-                only.extend(names.split(',').map(|s| s.trim().to_string()));
+            "--cores" => a.cores = Some(num(value(), |_| true)),
+            "--placement" => {
+                let n = topology::Placement::all_combinations().len();
+                a.placement = Some(num(value(), |&p| p < n));
+            }
+            "--metric" => {
+                a.metric = match value().as_str() {
+                    "bw" => Some(Metric::Bandwidth),
+                    "lat" => Some(Metric::Latency),
+                    _ => usage(),
+                }
             }
             "--help" | "-h" => usage(),
             other => {
@@ -209,35 +260,54 @@ fn main() {
                 usage();
             }
         }
-        i += 1;
     }
+    a
+}
 
-    if list {
-        print_list();
-        return;
-    }
-    if resume && store_dir.is_none() {
+/// Open the `--store` directory, if one was given; `--resume` without one
+/// is a usage error.
+fn open_store(a: &Args) -> Option<ResultStore> {
+    if a.resume && a.store_dir.is_none() {
         eprintln!("--resume requires --store DIR");
         usage();
     }
-
-    let store = store_dir.as_ref().map(|dir| {
+    a.store_dir.as_ref().map(|dir| {
         ResultStore::open(dir).unwrap_or_else(|e| {
             eprintln!("error: cannot open result store {}: {}", dir, e);
             std::process::exit(1);
         })
-    });
+    })
+}
 
-    let exps = selected_experiments(select.as_deref(), &only);
-    let opts = CampaignOptions::new(fidelity, jobs)
-        .with_telemetry(trace_path.is_some())
-        .with_timeout(timeout);
+fn main() {
+    let a = parse(std::env::args().skip(1).collect());
+    match a.mode {
+        Mode::Campaign => campaign_cli(&a),
+        Mode::Predict | Mode::Rank => predict_cli(&a),
+    }
+}
+
+/// The campaign mode: run the selected experiments, render and export.
+fn campaign_cli(a: &Args) {
+    if a.list {
+        print_list();
+        return;
+    }
+    let store = open_store(a);
+
+    let exps = selected_experiments(a.select.as_deref(), &a.only);
+    let opts = CampaignOptions::new(a.fidelity(), a.jobs)
+        .with_telemetry(a.trace_path.is_some())
+        .with_timeout(a.timeout);
     let t0 = Instant::now();
-    let ctx = store.as_ref().map(|s| StoreCtx { store: s, resume });
+    let ctx = store.as_ref().map(|s| StoreCtx {
+        store: s,
+        resume: a.resume,
+    });
     let (runs, report) = interference::campaign::run_set_with_store(&exps, &opts, ctx);
     let wall = t0.elapsed();
 
-    if let Some(path) = &trace_path {
+    if let Some(path) = &a.trace_path {
         let journal = report.journal.as_ref().expect("telemetry was enabled");
         export(path, journal.to_chrome_json().as_bytes(), "trace");
         println!(
@@ -255,7 +325,7 @@ fn main() {
             print!("{}", f.render());
             println!();
             failed += f.checks.iter().filter(|c| !c.pass).count();
-            if let Some(dir) = &csv_dir {
+            if let Some(dir) = &a.csv_dir {
                 std::fs::create_dir_all(dir).expect("create csv dir");
                 let path = format!("{}/{}.csv", dir, f.id);
                 export(&path, f.to_csv().as_bytes(), "csv");
@@ -264,7 +334,7 @@ fn main() {
         }
         figs.extend(run.figures.iter());
     }
-    if let Some(path) = &json_path {
+    if let Some(path) = &a.json_path {
         let owned: Vec<_> = runs.iter().flat_map(|r| r.figures.clone()).collect();
         export(
             path,
@@ -275,21 +345,19 @@ fn main() {
     }
 
     let store_stats = store.as_ref().map(|s| s.stats());
-    print_timings(&runs, &report, store_stats.as_ref(), jobs, wall.as_secs_f64());
-    if let Some(path) = &timings_path {
-        export(
-            path,
-            timings_json(
-                &runs,
-                &report,
-                store_stats.as_ref(),
-                fidelity,
-                jobs,
-                wall.as_secs_f64(),
-            )
-            .as_bytes(),
-            "timings",
-        );
+    let digest = Digest::of(&runs, &report);
+    let wall_s = wall.as_secs_f64();
+    print_timings(
+        &runs,
+        &report,
+        store_stats.as_ref(),
+        &digest,
+        a.jobs,
+        wall_s,
+    );
+    if let Some(path) = &a.timings_path {
+        let json = timings_json(&runs, &report, store_stats.as_ref(), &digest, a, wall_s);
+        export(path, json.as_bytes(), "timings");
         println!("(timings written to {})", path);
     }
 
@@ -317,7 +385,7 @@ fn main() {
     if failed > 0 {
         std::process::exit(1);
     }
-    if partial && !allow_partial {
+    if partial && !a.allow_partial {
         eprintln!("campaign completed partial; pass --allow-partial to exit 0");
         std::process::exit(3);
     }
@@ -358,115 +426,23 @@ fn selected_experiments(select: Option<&str>, only: &[String]) -> Vec<&'static d
 /// on harvested pairs that exclude the queried (preset, workload family)
 /// — the query is a pair the model has never seen co-run — then predict
 /// from the query's alone steps only.
-fn predict_cli(args: &[String], single_placement: bool) {
-    use interference::experiments::harvest::{self, Family, PairSpec};
+fn predict_cli(a: &Args) {
+    use interference::experiments::harvest::{self, PairSpec};
     use predict::advisor::{default_params, Advisor};
-    use topology::presets::Preset;
 
-    let mut fidelity = Fidelity::Full;
-    let mut jobs = 1usize;
-    let mut store_dir: Option<String> = None;
-    let mut resume = false;
-    let mut ground_truth = false;
-    let mut preset: Option<Preset> = None;
-    let mut family: Option<Family> = None;
-    let mut cores: Option<u32> = None;
-    let mut placement = 0usize;
-    let mut placement_given = false;
-    let mut metric: Option<interference::experiments::contention::Metric> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => fidelity = Fidelity::Quick,
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--store" => {
-                i += 1;
-                store_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--resume" => resume = true,
-            "--ground-truth" => ground_truth = true,
-            "--preset" => {
-                i += 1;
-                let name = args.get(i).cloned().unwrap_or_else(|| usage());
-                preset = Preset::clusters()
-                    .into_iter()
-                    .find(|p| p.spec().name == name);
-                if preset.is_none() {
-                    eprintln!(
-                        "unknown preset: {} (expected one of {})",
-                        name,
-                        Preset::clusters()
-                            .map(|p| p.spec().name)
-                            .join(", ")
-                    );
-                    usage();
-                }
-            }
-            "--workload" => {
-                i += 1;
-                let tag = args.get(i).cloned().unwrap_or_else(|| usage());
-                family = Family::from_tag(&tag);
-                if family.is_none() {
-                    eprintln!(
-                        "unknown workload family: {} (expected one of {})",
-                        tag,
-                        Family::all().map(|f| f.tag()).join(", ")
-                    );
-                    usage();
-                }
-            }
-            "--cores" => {
-                i += 1;
-                cores = args.get(i).and_then(|s| s.parse().ok());
-                if cores.is_none() {
-                    usage();
-                }
-            }
-            "--placement" => {
-                i += 1;
-                placement = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&p| p < topology::Placement::all_combinations().len())
-                    .unwrap_or_else(|| usage());
-                placement_given = true;
-            }
-            "--metric" => {
-                i += 1;
-                metric = match args.get(i).map(String::as_str) {
-                    Some("bw") => Some(interference::experiments::contention::Metric::Bandwidth),
-                    Some("lat") => Some(interference::experiments::contention::Metric::Latency),
-                    _ => usage(),
-                };
-            }
-            other => {
-                eprintln!("unknown argument: {}", other);
-                usage();
-            }
-        }
-        i += 1;
-    }
     let (Some(preset), Some(family), Some(cores), Some(metric)) =
-        (preset, family, cores, metric)
+        (a.preset, a.family, a.cores, a.metric)
     else {
         eprintln!("--preset, --workload, --cores and --metric are required");
         usage();
     };
-    if single_placement && !placement_given {
+    let single_placement = a.mode == Mode::Predict;
+    if single_placement && a.placement.is_none() {
         eprintln!("repro predict requires --placement I (0..{})", topology::Placement::all_combinations().len());
         usage();
     }
-    if resume && store_dir.is_none() {
-        eprintln!("--resume requires --store DIR");
-        usage();
-    }
+    let (fidelity, ground_truth, placement) =
+        (a.fidelity(), a.ground_truth, a.placement.unwrap_or(0));
     let query = PairSpec {
         preset,
         placement,
@@ -477,14 +453,12 @@ fn predict_cli(args: &[String], single_placement: bool) {
 
     // Harvest the training grid, minus every pair that co-ran the queried
     // family on the queried machine.
-    let store = store_dir.as_ref().map(|dir| {
-        ResultStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("error: cannot open result store {}: {}", dir, e);
-            std::process::exit(1);
-        })
+    let store = open_store(a);
+    let opts = CampaignOptions::new(fidelity, a.jobs);
+    let ctx = store.as_ref().map(|s| StoreCtx {
+        store: s,
+        resume: a.resume,
     });
-    let opts = CampaignOptions::new(fidelity, jobs);
-    let ctx = store.as_ref().map(|s| StoreCtx { store: s, resume });
     let t0 = Instant::now();
     let outcomes = interference::campaign::run_outcomes_with_store(
         experiments::HARVEST_EXPERIMENT,
@@ -643,6 +617,63 @@ fn print_list() {
     }
 }
 
+/// The timing digest, derived once and rendered by both the text summary
+/// and `--timings`: campaign busy time, engine throughput and the
+/// collective fast paths. Journal counters read 0 without `--trace`; the
+/// schedule cache is process-global, so it is always available.
+struct Digest {
+    busy_s: f64,
+    events: u64,
+    instants: u64,
+    inserts: u64,
+    cancels: u64,
+    parallel: u64,
+    probes: u64,
+    bin_hits: u64,
+    route_hits: u64,
+    waterfill: u64,
+    cache: mpisim::collective::CacheStats,
+}
+
+impl Digest {
+    fn of(runs: &[ExperimentRun], report: &CampaignReport) -> Digest {
+        let c = |name: &str| {
+            report
+                .journal
+                .as_ref()
+                .and_then(|j| j.counters.get(name).copied())
+                .unwrap_or(0)
+        };
+        Digest {
+            busy_s: runs.iter().map(|r| r.busy.as_secs_f64()).sum(),
+            events: c("engine.events"),
+            instants: c("engine.queue.batch_instants"),
+            inserts: c("engine.queue.inserts"),
+            cancels: c("engine.queue.cancels"),
+            parallel: c("fluid.parallel_components"),
+            probes: c("mpi.match.probes"),
+            bin_hits: c("mpi.match.bin_hit"),
+            route_hits: c("net.route.intern_hit"),
+            waterfill: c("fluid.waterfill"),
+            cache: mpisim::collective::cache_stats(),
+        }
+    }
+
+    /// Events per second of busy time.
+    fn events_per_s(&self) -> f64 {
+        if self.busy_s > 0.0 {
+            self.events as f64 / self.busy_s
+        } else {
+            0.0
+        }
+    }
+
+    /// Allocator passes same-instant batching saved vs one per event.
+    fn passes_saved(&self) -> u64 {
+        self.events.saturating_sub(self.instants)
+    }
+}
+
 /// Campaign timing summary: per-experiment busy time and throughput, plus
 /// a telemetry section (cache statistics; journal size when recording) and
 /// a durability section when a result store is bound.
@@ -650,6 +681,7 @@ fn print_timings(
     runs: &[ExperimentRun],
     report: &CampaignReport,
     store: Option<&StoreStats>,
+    d: &Digest,
     jobs: usize,
     wall_s: f64,
 ) {
@@ -679,12 +711,11 @@ fn print_timings(
             }
         );
     }
-    let busy: f64 = runs.iter().map(|r| r.busy.as_secs_f64()).sum();
     println!(
         "   total: {:.2} s wall, {:.2} s busy (utilisation {:.2}x)",
         wall_s,
-        busy,
-        if wall_s > 0.0 { busy / wall_s } else { 0.0 }
+        d.busy_s,
+        if wall_s > 0.0 { d.busy_s / wall_s } else { 0.0 }
     );
     println!("== telemetry ==");
     println!(
@@ -705,11 +736,11 @@ fn print_timings(
             for (name, value) in &j.counters {
                 println!("   counter {:<18} {}", name, value);
             }
-            print_engine_throughput(j, busy);
+            print_engine_throughput(d);
         }
         None => println!("   journal: disabled (enable with --trace FILE)"),
     }
-    print_collective_path(report.journal.as_ref());
+    print_collective_path(d);
     if let Some(s) = store {
         println!("== result store ==");
         println!(
@@ -723,43 +754,37 @@ fn print_timings(
     println!();
 }
 
-/// Engine-throughput digest derived from the merged telemetry journal:
-/// events processed and events/sec over campaign busy time, same-instant
-/// batching effectiveness (allocator passes saved vs one-pass-per-event),
-/// timer-queue traffic, and parallel component-solve engagement.
-fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
-    let c = |name: &str| j.counters.get(name).copied().unwrap_or(0);
-    let events = c("engine.events");
-    if events == 0 {
+/// Engine-throughput digest: events processed and events/sec over
+/// campaign busy time, same-instant batching effectiveness (allocator
+/// passes saved vs one-pass-per-event), timer-queue traffic, and parallel
+/// component-solve engagement.
+fn print_engine_throughput(d: &Digest) {
+    if d.events == 0 {
         return;
     }
     println!("== engine throughput ==");
     println!(
         "   {} event(s) processed, {:.0} events/s of busy time",
-        events,
-        if busy_s > 0.0 {
-            events as f64 / busy_s
-        } else {
-            0.0
-        }
+        d.events,
+        d.events_per_s()
     );
-    let instants = c("engine.queue.batch_instants");
-    if instants > 0 {
+    if d.instants > 0 {
         println!(
             "   {} batched instant(s), {:.2} events/instant: {} allocator pass(es) saved vs per-event",
-            instants,
-            events as f64 / instants as f64,
-            events.saturating_sub(instants)
+            d.instants,
+            d.events as f64 / d.instants as f64,
+            d.passes_saved()
         );
     }
     println!(
         "   timer queue: {} insert(s), {} cancel(s)",
-        c("engine.queue.inserts"),
-        c("engine.queue.cancels")
+        d.inserts, d.cancels
     );
-    let par = c("fluid.parallel_components");
-    if par > 0 {
-        println!("   parallel solver: {} component(s) solved in parallel", par);
+    if d.parallel > 0 {
+        println!(
+            "   parallel solver: {} component(s) solved in parallel",
+            d.parallel
+        );
     } else {
         println!("   parallel solver: not engaged (workload below threshold)");
     }
@@ -767,40 +792,38 @@ fn print_engine_throughput(j: &simcore::Journal, busy_s: f64) {
 
 /// Collective fast-path digest: message-matching bin hits vs probe scans,
 /// route-interning hits, waterfill fast-path engagements (all from the
-/// journal, so they need `--trace`), and the schedule-memoization cache
-/// (process-global atomics, so always available).
-fn print_collective_path(j: Option<&simcore::Journal>) {
-    let cache = mpisim::collective::cache_stats();
-    let c = |name: &str| {
-        j.and_then(|j| j.counters.get(name).copied()).unwrap_or(0)
-    };
-    let probes = c("mpi.match.probes");
-    let hits = c("mpi.match.bin_hit");
-    let routes = c("net.route.intern_hit");
-    let waterfill = c("fluid.waterfill");
-    if cache.hits + cache.misses == 0 && probes + routes + waterfill == 0 {
+/// journal, so they need `--trace`), and the schedule-memoization cache.
+fn print_collective_path(d: &Digest) {
+    if d.cache.hits + d.cache.misses == 0 && d.probes + d.route_hits + d.waterfill == 0 {
         return;
     }
     println!("== collective path ==");
-    if probes > 0 {
+    if d.probes > 0 {
         println!(
             "   matching: {} bin hit(s) in {} probe(s) ({:.2} probes/match)",
-            hits,
-            probes,
-            if hits > 0 { probes as f64 / hits as f64 } else { 0.0 }
+            d.bin_hits,
+            d.probes,
+            if d.bin_hits > 0 {
+                d.probes as f64 / d.bin_hits as f64
+            } else {
+                0.0
+            }
         );
     }
-    if routes > 0 {
-        println!("   routes: {} interned-path hit(s)", routes);
+    if d.route_hits > 0 {
+        println!("   routes: {} interned-path hit(s)", d.route_hits);
     }
-    if cache.hits + cache.misses > 0 {
+    if d.cache.hits + d.cache.misses > 0 {
         println!(
             "   schedule cache: {} hit(s), {} miss(es) (built + proved once each)",
-            cache.hits, cache.misses
+            d.cache.hits, d.cache.misses
         );
     }
-    if waterfill > 0 {
-        println!("   waterfill: {} single-flow fast-path solve(s)", waterfill);
+    if d.waterfill > 0 {
+        println!(
+            "   waterfill: {} single-flow fast-path solve(s)",
+            d.waterfill
+        );
     }
 }
 
@@ -809,15 +832,15 @@ fn timings_json(
     runs: &[ExperimentRun],
     report: &CampaignReport,
     store: Option<&StoreStats>,
-    fidelity: Fidelity,
-    jobs: usize,
+    d: &Digest,
+    a: &Args,
     wall_s: f64,
 ) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"fidelity\":\"{:?}\",\"jobs\":{},\"wall_s\":{:.3},\"partial\":{},\"experiments\":[",
-        fidelity,
-        jobs,
+        a.fidelity(),
+        a.jobs,
         wall_s,
         runs.iter().any(|r| r.is_partial())
     ));
@@ -863,40 +886,26 @@ fn timings_json(
             out.push_str(&format!("\"{}\":{}", name, value));
         }
         out.push('}');
-        let c = |name: &str| j.counters.get(name).copied().unwrap_or(0);
-        let events = c("engine.events");
-        let instants = c("engine.queue.batch_instants");
-        let busy: f64 = runs.iter().map(|r| r.busy.as_secs_f64()).sum();
         out.push_str(&format!(
             ",\"engine\":{{\"events\":{},\"events_per_busy_s\":{:.0},\"batch_instants\":{},\"allocator_passes_saved\":{},\"queue_inserts\":{},\"queue_cancels\":{},\"parallel_components\":{}}}",
-            events,
-            if busy > 0.0 { events as f64 / busy } else { 0.0 },
-            instants,
-            events.saturating_sub(instants),
-            c("engine.queue.inserts"),
-            c("engine.queue.cancels"),
-            c("fluid.parallel_components"),
+            d.events,
+            d.events_per_s(),
+            d.instants,
+            d.passes_saved(),
+            d.inserts,
+            d.cancels,
+            d.parallel,
         ));
-        out.push('}');
-    } else {
-        out.push('}');
     }
-    let cache = mpisim::collective::cache_stats();
-    let c = |name: &str| {
-        report
-            .journal
-            .as_ref()
-            .and_then(|j| j.counters.get(name).copied())
-            .unwrap_or(0)
-    };
+    out.push('}');
     out.push_str(&format!(
         ",\"collective\":{{\"match_probes\":{},\"match_bin_hits\":{},\"route_intern_hits\":{},\"schedule_cache_hits\":{},\"schedule_cache_misses\":{},\"waterfill_solves\":{}}}",
-        c("mpi.match.probes"),
-        c("mpi.match.bin_hit"),
-        c("net.route.intern_hit"),
-        cache.hits,
-        cache.misses,
-        c("fluid.waterfill"),
+        d.probes,
+        d.bin_hits,
+        d.route_hits,
+        d.cache.hits,
+        d.cache.misses,
+        d.waterfill,
     ));
     out.push_str("}\n");
     out

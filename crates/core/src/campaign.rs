@@ -14,11 +14,12 @@
 //! serial one. Memoized baselines use a seed derived from their cache key
 //! ([`baseline_seed`]) for the same reason.
 //!
-//! **Crash-proofness.** Every point runs under PR 1's
-//! [`crate::runner::guarded`] (catch_unwind + quiet panic hook); a failed
-//! point is retried once on a fresh [`crate::runner::retry_seed`] and
-//! otherwise recorded as [`RunStatus::Failed`] so the remaining points
-//! still reach `finalize`.
+//! **Crash-proofness.** Every point runs through `runner::retry_once`,
+//! the retry policy repetitions use too: each attempt is guarded
+//! (catch_unwind + quiet panic hook), a failed point is retried once on a
+//! fresh [`crate::runner::retry_seed`] and otherwise recorded as
+//! [`RunStatus::Failed`] (or [`RunStatus::TimedOut`] at its deadline) so
+//! the remaining points still reach `finalize`.
 //!
 //! **Baseline memoization.** The protocol's "alone" steps do not depend on
 //! most sweep variables (communication alone is the same measurement at
@@ -34,7 +35,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use simcore::cancel::{self, CancelToken};
 use simcore::telemetry::{self, Journal, Lane, Record, RecordKind};
 use simcore::{SimPaths, SimTime, SplitMix64};
 
@@ -222,57 +222,6 @@ impl BaselineCache {
         BaselineCache::default()
     }
 
-    /// Claim the slot for `key` (waiting out another worker's in-flight
-    /// compute) and run `run` to fill it. `Err` is returned to this caller
-    /// only and leaves the slot empty; a panic in `run` likewise resets the
-    /// slot before unwinding.
-    fn fetch_or_run<F>(&self, key: &str, run: F) -> Result<Arc<dyn Any + Send + Sync>, String>
-    where
-        F: FnOnce() -> Result<Arc<dyn Any + Send + Sync>, String>,
-    {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let mut slots = self.slots.lock().expect("baseline cache poisoned");
-            slots.entry(key.to_string()).or_default().clone()
-        };
-        {
-            let mut st = slot.state.lock().expect("baseline slot poisoned");
-            loop {
-                match &*st {
-                    SlotState::Ready(v) => return Ok(Arc::clone(v)),
-                    SlotState::Computing => {
-                        st = slot.ready.wait(st).expect("baseline slot poisoned");
-                    }
-                    SlotState::Empty => {
-                        *st = SlotState::Computing;
-                        break;
-                    }
-                }
-            }
-        }
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        // Dropped on every exit path (including unwind): a slot still in
-        // `Computing` reverts to `Empty`, and waiters are woken either way.
-        struct Unclaim<'a>(&'a MemoSlot);
-        impl Drop for Unclaim<'_> {
-            fn drop(&mut self) {
-                let mut st = self.0.state.lock().expect("baseline slot poisoned");
-                if matches!(*st, SlotState::Computing) {
-                    *st = SlotState::Empty;
-                }
-                drop(st);
-                self.0.ready.notify_all();
-            }
-        }
-        let unclaim = Unclaim(&slot);
-        let res = run();
-        if let Ok(v) = &res {
-            *slot.state.lock().expect("baseline slot poisoned") = SlotState::Ready(Arc::clone(v));
-        }
-        drop(unclaim);
-        res
-    }
-
     /// Fetch the value under `key`, computing it with `f(baseline_seed(key))`
     /// on first use. Nested calls (a cached value that itself needs another
     /// baseline) are fine as long as keys do not form a cycle.
@@ -288,22 +237,8 @@ impl BaselineCache {
         T: Any + Send + Sync,
         F: FnOnce(u64) -> T,
     {
-        let v = self
-            .fetch_or_run(key, || {
-                let (v, journal) = telemetry::isolate(|| {
-                    Arc::new(f(baseline_seed(key))) as Arc<dyn Any + Send + Sync>
-                });
-                if let Some(j) = journal {
-                    self.journals
-                        .lock()
-                        .expect("baseline journals poisoned")
-                        .insert(key.to_string(), j);
-                }
-                Ok(v)
-            })
-            .expect("infallible baseline compute");
-        v.downcast::<T>()
-            .unwrap_or_else(|_| panic!("baseline cache type mismatch for key {:?}", key))
+        self.get_or_compute_result(key, |seed| Ok(f(seed)))
+            .expect("infallible baseline compute")
     }
 
     /// Fallible variant of [`BaselineCache::get_or_compute`]: an `Err` from
@@ -317,22 +252,58 @@ impl BaselineCache {
         T: Any + Send + Sync,
         F: FnOnce(u64) -> Result<T, String>,
     {
-        let v = self.fetch_or_run(key, || {
-            let (res, journal) = telemetry::isolate(|| {
-                f(baseline_seed(key)).map(|v| Arc::new(v) as Arc<dyn Any + Send + Sync>)
-            });
-            // The journal of a failed compute is dropped with it.
-            let v = res?;
-            if let Some(j) = journal {
-                self.journals
-                    .lock()
-                    .expect("baseline journals poisoned")
-                    .insert(key.to_string(), j);
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let slot = {
+            let mut slots = self.slots.lock().expect("baseline cache poisoned");
+            slots.entry(key.to_string()).or_default().clone()
+        };
+        {
+            // Claim the slot, waiting out another worker's in-flight compute.
+            let mut st = slot.state.lock().expect("baseline slot poisoned");
+            loop {
+                match &*st {
+                    SlotState::Ready(v) => {
+                        return Ok(Arc::clone(v).downcast::<T>().unwrap_or_else(|_| {
+                            panic!("baseline cache type mismatch for key {:?}", key)
+                        }))
+                    }
+                    SlotState::Computing => {
+                        st = slot.ready.wait(st).expect("baseline slot poisoned");
+                    }
+                    SlotState::Empty => {
+                        *st = SlotState::Computing;
+                        break;
+                    }
+                }
             }
-            Ok(v)
-        })?;
-        Ok(v.downcast::<T>()
-            .unwrap_or_else(|_| panic!("baseline cache type mismatch for key {:?}", key)))
+        }
+        self.computed.fetch_add(1, Ordering::Relaxed);
+        // Dropped on every exit path (an `Err` or an unwind included): a
+        // slot still in `Computing` reverts to `Empty`, and waiters are
+        // woken either way.
+        struct Unclaim<'a>(&'a MemoSlot);
+        impl Drop for Unclaim<'_> {
+            fn drop(&mut self) {
+                let mut st = self.0.state.lock().expect("baseline slot poisoned");
+                if matches!(*st, SlotState::Computing) {
+                    *st = SlotState::Empty;
+                }
+                drop(st);
+                self.0.ready.notify_all();
+            }
+        }
+        let _unclaim = Unclaim(&slot);
+        let (res, journal) = telemetry::isolate(|| f(baseline_seed(key)));
+        // The journal of a failed compute is dropped with it.
+        let v = Arc::new(res?);
+        if let Some(j) = journal {
+            self.journals
+                .lock()
+                .expect("baseline journals poisoned")
+                .insert(key.to_string(), j);
+        }
+        *slot.state.lock().expect("baseline slot poisoned") = SlotState::Ready(v.clone());
+        Ok(v)
     }
 
     /// Drain the telemetry journals of every computed baseline, sorted by
@@ -374,10 +345,10 @@ pub struct CampaignOptions {
     /// so the merged journal is byte-identical at any `jobs` level.
     pub telemetry: bool,
     /// Per-point wall-clock deadline. Each attempt runs under a
-    /// [`CancelToken`] with this budget; a wedged simulation is
-    /// cooperatively cancelled at the next event boundary and the point is
-    /// recorded as [`RunStatus::TimedOut`] instead of leaking its worker
-    /// thread. `None` (the default) imposes no deadline — timeouts are
+    /// [`simcore::cancel::CancelToken`] with this budget; a wedged
+    /// simulation is cooperatively cancelled at the next event boundary
+    /// and the point is recorded as [`RunStatus::TimedOut`] instead of
+    /// leaking its worker thread. `None` (the default) imposes no deadline — timeouts are
     /// wall-clock and therefore machine-dependent, so they are strictly
     /// opt-in.
     pub timeout: Option<Duration>,
@@ -565,16 +536,15 @@ fn chaos_point_delay() -> Option<Duration> {
     })
 }
 
-/// Execute one sweep point: guarded first attempt on [`point_seed`], one
-/// guarded retry on a fresh seed, structured failure otherwise. With
-/// [`CampaignOptions::telemetry`] set, each attempt runs under a fresh
-/// thread-local telemetry recorder and the outcome carries the journal of
-/// the attempt it describes (the retry's journal when the first attempt
-/// failed). With [`CampaignOptions::timeout`] set, each attempt runs under
-/// a deadline [`CancelToken`]; a timed-out attempt is terminal
-/// ([`RunStatus::TimedOut`], no retry). With a [`StoreCtx`] bound, a
-/// resumable outcome is restored instead of executed when present, and a
-/// computed outcome is persisted before being returned.
+/// Execute one sweep point through [`runner::retry_once`]: first attempt
+/// on [`point_seed`], one retry on a fresh seed, structured failure
+/// otherwise. With [`CampaignOptions::telemetry`] set, the outcome carries
+/// the journal of the attempt it describes (the retry's journal when the
+/// first attempt failed). With [`CampaignOptions::timeout`] set, each
+/// attempt runs under its own deadline, and a timed-out attempt is
+/// terminal ([`RunStatus::TimedOut`], no retry). With a [`StoreCtx`]
+/// bound, a resumable outcome is restored instead of executed when
+/// present, and a computed outcome is persisted before being returned.
 fn execute_point(
     exp: &dyn Experiment,
     point: &SweepPoint,
@@ -582,12 +552,11 @@ fn execute_point(
     baselines: &BaselineCache,
     store: Option<&StoreCtx<'_>>,
 ) -> PointOutcome {
-    let record = opts.telemetry;
     let key = store.map(|_| point_key(exp.name(), opts.fidelity, point.index));
     if let (Some(s), Some(key)) = (store, key.as_deref()) {
         // Restored points carry no journal, so resume is bypassed while
         // recording (recomputation is byte-identical by determinism).
-        if s.resume && !record {
+        if s.resume && !opts.telemetry {
             if let Lookup::Hit(bytes) = s.store.get(key) {
                 if let Some(outcome) = decode_outcome(exp, point, &bytes) {
                     return outcome;
@@ -601,65 +570,24 @@ fn execute_point(
         std::thread::sleep(delay);
     }
     let t0 = Instant::now();
-    let seed = point_seed(exp.name(), point.index);
-    let attempt = |seed: u64| {
-        if record {
-            telemetry::install();
-        }
-        let token = opts.timeout.map(CancelToken::with_deadline);
+    let first = point_seed(exp.name(), point.index);
+    let seeds = [first, runner::retry_seed(first, point.index as u32)];
+    let a = runner::retry_once(seeds, opts.timeout, opts.telemetry, |seed| {
         let ctx = PointCtx {
             fidelity: opts.fidelity,
             seed,
             baselines,
         };
-        let run = || runner::guarded(|| exp.run_point(point, &ctx));
-        let res = match &token {
-            Some(t) => cancel::scoped(t.clone(), run),
-            None => run(),
-        };
-        // Only a *failed* attempt counts as timed out: a value computed
-        // just as the deadline passed is still a valid measurement.
-        let timed_out = res.is_err() && token.as_ref().is_some_and(|t| t.is_cancelled());
-        let journal = if record { telemetry::take() } else { None };
-        (res, timed_out, journal)
-    };
-    let (seed, status, value, journal) = match attempt(seed) {
-        (Ok(v), _, journal) => (seed, RunStatus::Completed, Some(v), journal),
-        (Err(error), true, journal) => (seed, RunStatus::TimedOut { error }, None, journal),
-        (Err(first_error), false, _) => {
-            let fresh = runner::retry_seed(seed, point.index as u32);
-            match attempt(fresh) {
-                (Ok(v), _, journal) => (
-                    fresh,
-                    RunStatus::Recovered {
-                        failed_seed: seed,
-                        error: first_error,
-                    },
-                    Some(v),
-                    journal,
-                ),
-                (Err(error), true, journal) => {
-                    (fresh, RunStatus::TimedOut { error }, None, journal)
-                }
-                (Err(second_error), false, journal) => (
-                    fresh,
-                    RunStatus::Failed {
-                        error: second_error,
-                    },
-                    None,
-                    journal,
-                ),
-            }
-        }
-    };
+        exp.run_point(point, &ctx)
+    });
     let outcome = PointOutcome {
         index: point.index,
         label: point.label.clone(),
-        seed,
-        status,
-        value,
+        seed: a.seed,
+        status: a.status,
+        value: a.value,
         wall: t0.elapsed(),
-        journal,
+        journal: a.journal,
         restored: false,
     };
     if let (Some(s), Some(key)) = (store, key.as_deref()) {
@@ -721,32 +649,11 @@ pub fn run_set_with_store(
         .enumerate()
         .flat_map(|(ei, plan)| (0..plan.len()).map(move |pi| (ei, pi)))
         .collect();
-    let results: Vec<Vec<Mutex<Option<PointOutcome>>>> = plans
-        .iter()
-        .map(|p| (0..p.len()).map(|_| Mutex::new(None)).collect())
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.clamp(1, tasks.len().max(1));
-    // Workers run on fresh threads, so they re-install the caller's path
-    // selection (DESIGN.md §13.6).
-    let paths = SimPaths::current();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                SimPaths::scoped(paths, || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (ei, pi) = tasks[t];
-                    let outcome =
-                        execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref());
-                    *results[ei][pi].lock().expect("result slot poisoned") = Some(outcome);
-                })
-            });
-        }
-    });
+    let mut outcomes = drain(tasks.len(), opts.jobs, |t| {
+        let (ei, pi) = tasks[t];
+        execute_point(exps[ei], &plans[ei][pi], opts, &cache, store.as_ref())
+    })
+    .into_iter();
 
     // Merge point journals in plan order onto one campaign timeline. The
     // merge depends only on plan order and sim-time, so the merged journal
@@ -760,56 +667,24 @@ pub fn run_set_with_store(
 
     let runs = exps
         .iter()
-        .zip(results)
-        .map(|(exp, slots)| {
-            let mut outcomes: Vec<PointOutcome> = slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every queued point executes")
-                })
-                .collect();
+        .zip(&plans)
+        .map(|(exp, plan)| {
+            let mut outcomes: Vec<PointOutcome> = outcomes.by_ref().take(plan.len()).collect();
             let exp_start = offset;
             if let Some(merged) = merged.as_mut() {
                 for o in &mut outcomes {
-                    let Some(mut j) = o.journal.take() else {
-                        continue;
-                    };
-                    let end = j.end_time();
-                    merged.records.push(Record {
-                        t: offset,
-                        kind: RecordKind::Complete {
-                            cat: "campaign",
-                            name: o.label.clone(),
-                            lane: Lane::Campaign,
-                            dur: end,
-                        },
-                    });
-                    j.shift(offset);
-                    merged.append(j);
-                    offset = SimTime(offset.0.saturating_add(end.0));
+                    if let Some(j) = o.journal.take() {
+                        append_span(merged, &mut offset, o.label.clone(), j);
+                    }
                 }
-                merged.records.push(Record {
-                    t: exp_start,
-                    kind: RecordKind::Complete {
-                        cat: "campaign",
-                        name: exp.name().to_string(),
-                        lane: Lane::Campaign,
-                        dur: offset.saturating_sub(exp_start),
-                    },
-                });
+                let name = exp.name().to_string();
+                campaign_span(merged, exp_start, offset.saturating_sub(exp_start), name);
             }
             let point_time: Duration = outcomes.iter().map(|o| o.wall).sum();
-            let failed = outcomes
-                .iter()
-                .filter(|o| matches!(o.status, RunStatus::Failed { .. }))
-                .count();
-            let timed_out = outcomes
-                .iter()
-                .filter(|o| matches!(o.status, RunStatus::TimedOut { .. }))
-                .count();
-            let restored = outcomes.iter().filter(|o| o.restored).count();
+            let count = |p: fn(&PointOutcome) -> bool| outcomes.iter().filter(|o| p(o)).count();
+            let failed = count(|o| matches!(o.status, RunStatus::Failed { .. }));
+            let timed_out = count(|o| matches!(o.status, RunStatus::TimedOut { .. }));
+            let restored = count(|o| o.restored);
             let t0 = Instant::now();
             // Guarded: most finalizers call `expect_value` and panic on a
             // lost point; one partial experiment must not take down the
@@ -837,20 +712,8 @@ pub fn run_set_with_store(
     // Shared baselines recorded under `isolate` merge last, in key order:
     // deterministic no matter which worker computed them.
     if let Some(merged) = merged.as_mut() {
-        for (key, mut j) in cache.take_journals() {
-            let end = j.end_time();
-            merged.records.push(Record {
-                t: offset,
-                kind: RecordKind::Complete {
-                    cat: "campaign",
-                    name: format!("baseline: {}", key),
-                    lane: Lane::Campaign,
-                    dur: end,
-                },
-            });
-            j.shift(offset);
-            merged.append(j);
-            offset = SimTime(offset.0.saturating_add(end.0));
+        for (key, j) in cache.take_journals() {
+            append_span(merged, &mut offset, format!("baseline: {}", key), j);
         }
     }
 
@@ -860,6 +723,29 @@ pub fn run_set_with_store(
         journal: merged,
     };
     (runs, report)
+}
+
+/// Push a "campaign" span `[t, t + dur)` onto the merged journal.
+fn campaign_span(merged: &mut Journal, t: SimTime, dur: SimTime, name: String) {
+    merged.records.push(Record {
+        t,
+        kind: RecordKind::Complete {
+            cat: "campaign",
+            name,
+            lane: Lane::Campaign,
+            dur,
+        },
+    });
+}
+
+/// Append `j` at `offset` inside a campaign span named `name`, and move
+/// `offset` past it.
+fn append_span(merged: &mut Journal, offset: &mut SimTime, name: String, mut j: Journal) {
+    let end = j.end_time();
+    campaign_span(merged, *offset, end, name);
+    j.shift(*offset);
+    merged.append(j);
+    *offset = SimTime(offset.0.saturating_add(end.0));
 }
 
 /// Execute one experiment's sweep points on `opts.jobs` worker threads and
@@ -877,31 +763,39 @@ pub fn run_outcomes_with_store(
 ) -> Vec<PointOutcome> {
     let cache = BaselineCache::new();
     let plan = exp.plan(opts.fidelity);
-    let results: Vec<Mutex<Option<PointOutcome>>> =
-        (0..plan.len()).map(|_| Mutex::new(None)).collect();
+    drain(plan.len(), opts.jobs, |i| {
+        execute_point(exp, &plan[i], opts, &cache, store.as_ref())
+    })
+}
+
+/// The campaign's one worker pool: run `task(0)..task(n)` on up to `jobs`
+/// scoped threads and return the results in index order, whatever order
+/// the workers finished in. Workers run on fresh threads, so they
+/// re-install the caller's path selection (DESIGN.md §13.6).
+fn drain<T: Send>(n: usize, jobs: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = opts.jobs.clamp(1, plan.len().max(1));
     let paths = SimPaths::current();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..jobs.clamp(1, n.max(1)) {
             scope.spawn(|| {
                 SimPaths::scoped(paths, || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= plan.len() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    let outcome = execute_point(exp, &plan[t], opts, &cache, store.as_ref());
-                    *results[t].lock().expect("result slot poisoned") = Some(outcome);
+                    let v = task(i);
+                    *slots[i].lock().expect("result slot poisoned") = Some(v);
                 })
             });
         }
     });
-    results
+    slots
         .into_iter()
         .map(|m| {
             m.into_inner()
                 .expect("result slot poisoned")
-                .expect("every queued point executes")
+                .expect("every queued task executes")
         })
         .collect()
 }
@@ -911,23 +805,6 @@ pub fn run_experiment(exp: &dyn Experiment, opts: &CampaignOptions) -> Experimen
     run_set(&[exp], opts)
         .pop()
         .expect("one experiment in, one run out")
-}
-
-/// Execute only the sweep points of one experiment, serially, returning the
-/// raw outcomes — for callers that post-process points without the figure
-/// assembly (e.g. `table1::rows`). Honours [`CampaignOptions::telemetry`];
-/// `jobs` is ignored (points execute on the calling thread).
-pub fn run_points_with(exp: &dyn Experiment, opts: &CampaignOptions) -> Vec<PointOutcome> {
-    let cache = BaselineCache::new();
-    exp.plan(opts.fidelity)
-        .iter()
-        .map(|p| execute_point(exp, p, opts, &cache, None))
-        .collect()
-}
-
-/// [`run_points_with`] at the given fidelity with telemetry off.
-pub fn run_points(exp: &dyn Experiment, fidelity: Fidelity) -> Vec<PointOutcome> {
-    run_points_with(exp, &CampaignOptions::serial(fidelity))
 }
 
 #[cfg(test)]
@@ -1038,48 +915,6 @@ mod tests {
         }
     }
 
-    /// An experiment whose simulation wedges (timer storm) on selected
-    /// attempts, driven purely by the seed — deterministic under replay.
-    struct Wedger {
-        /// Wedge whenever the attempt seed is NOT the first-attempt seed
-        /// (i.e. the retry wedges) when true; wedge on the first attempt
-        /// when false.
-        wedge_on_retry: bool,
-    }
-
-    impl Experiment for Wedger {
-        fn name(&self) -> &'static str {
-            "wedger"
-        }
-        fn anchor(&self) -> &'static str {
-            "test"
-        }
-        fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            vec![SweepPoint::new(0, "the wedge".to_string())]
-        }
-        fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-            let first = ctx.seed == point_seed("wedger", point.index);
-            if first && self.wedge_on_retry {
-                // First attempt fails fast (a plain panic), retry wedges.
-                panic!("flaky first attempt");
-            }
-            if first || self.wedge_on_retry {
-                // Timer storm: never quiesces; only cancellation stops it.
-                let mut e = simcore::Engine::new();
-                e.after(SimTime::PS, 1);
-                e.try_run(|eng, _| {
-                    eng.after(SimTime::PS, 1);
-                })
-                .map_err(|err| err.to_string())?;
-                unreachable!("the storm never runs dry");
-            }
-            Ok(Box::new(0usize))
-        }
-        fn finalize(&self, _f: Fidelity, _points: &[PointOutcome]) -> Vec<FigureData> {
-            Vec::new()
-        }
-    }
-
     fn test_store(tag: &str) -> crate::store::ResultStore {
         let dir = std::env::temp_dir().join(format!(
             "ifcampaign-test-{}-{}",
@@ -1088,51 +923,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         crate::store::ResultStore::open(dir).expect("open test store")
-    }
-
-    #[test]
-    fn first_attempt_timeout_is_terminal() {
-        let opts = CampaignOptions::serial(Fidelity::Quick)
-            .with_timeout(Some(Duration::from_millis(30)));
-        let outcomes = run_points_with(&Wedger { wedge_on_retry: false }, &opts);
-        assert_eq!(outcomes.len(), 1);
-        match &outcomes[0].status {
-            RunStatus::TimedOut { error } => {
-                assert!(error.contains("cancelled"), "{}", error);
-                assert!(error.contains("deadline"), "{}", error);
-            }
-            s => panic!("expected TimedOut, got {:?}", s),
-        }
-        // Terminal: the seed is still the first-attempt seed (no retry ran).
-        assert_eq!(outcomes[0].seed, point_seed("wedger", 0));
-        assert_eq!(outcomes[0].status.label(), "timeout");
-    }
-
-    #[test]
-    fn panic_then_wedged_retry_records_timeout_deterministically() {
-        // The satellite scenario: attempt 1 panics (retried), attempt 2
-        // wedges and is cancelled at the deadline → TimedOut, replayable.
-        let opts = CampaignOptions::serial(Fidelity::Quick)
-            .with_timeout(Some(Duration::from_millis(30)));
-        let run_once = || {
-            let outcomes = run_points_with(&Wedger { wedge_on_retry: true }, &opts);
-            let o = &outcomes[0];
-            (o.seed, o.status.label(), o.status.error().map(str::to_owned))
-        };
-        let (seed_a, label_a, _) = run_once();
-        let (seed_b, label_b, _) = run_once();
-        assert_eq!(label_a, "timeout");
-        // Deterministic replay: same final seed (the retry seed), same
-        // classification, both runs.
-        assert_eq!((seed_a, label_a), (seed_b, label_b));
-        assert_eq!(seed_a, runner::retry_seed(point_seed("wedger", 0), 0));
-        // And the campaign marks the experiment partial.
-        let run = run_set_with_store(&[&Wedger { wedge_on_retry: true }], &opts, None)
-            .0
-            .pop()
-            .unwrap();
-        assert_eq!(run.timed_out_points, 1);
-        assert!(run.is_partial());
     }
 
     #[test]
@@ -1152,14 +942,7 @@ mod tests {
         // The recovered point's status survives the roundtrip (it would
         // re-panic if actually re-executed with the first-attempt seed,
         // so Recovered proves restoration).
-        let outcomes = {
-            let cache = BaselineCache::new();
-            DurableDoubler
-                .plan(opts.fidelity)
-                .iter()
-                .map(|p| execute_point(&DurableDoubler, p, &opts, &cache, Some(&ctx)))
-                .collect::<Vec<_>>()
-        };
+        let outcomes = run_outcomes_with_store(&DurableDoubler, &opts, Some(ctx));
         match &outcomes[1].status {
             RunStatus::Recovered { failed_seed, error } => {
                 assert_eq!(*failed_seed, point_seed("durable_doubler", 1));
@@ -1335,5 +1118,6 @@ mod tests {
         assert_eq!(run.points, 3);
         assert_eq!(run.timed_out_points, 3, "every point timed out on its own");
         assert_eq!(run.failed_points, 0, "no point inherited a cached error");
+        assert!(run.is_partial());
     }
 }

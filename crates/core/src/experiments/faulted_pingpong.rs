@@ -8,7 +8,8 @@
 //!
 //! Each sweep point itself runs through the crash-proof runner
 //! ([`crate::runner`]) — the campaign engine's own per-point guard nests
-//! around it. In the demo point, one repetition's first attempt
+//! around it, and the reps share the point's deadline: a rep cancelled at
+//! it fails the whole point rather than shrink its sample. In the demo point, one repetition's first attempt
 //! deliberately panics (it must recover on a retry seed) and one
 //! repetition runs under a total CTS black-out (it must fail cleanly after
 //! exhausting retransmissions, without hanging, while the surviving
@@ -147,7 +148,8 @@ impl Experiment for FaultedPingpong {
             let inner = runner::run_campaign(reps, ctx.seed, |rep, seed| {
                 let plan = FaultPlan { seed, ..base.clone() };
                 run_rep(pp, &plan, seed, rep as u64)
-            });
+            })
+            .unless_timed_out()?;
             Ok(Box::new(SweepOut {
                 lats: inner.values.iter().map(|(_, v)| v.lat_us).collect(),
                 rets: inner.values.iter().map(|(_, v)| v.retries as f64).collect(),
@@ -167,7 +169,8 @@ impl Experiment for FaultedPingpong {
                 let base = if rep == BLACKOUT_REP { &blackout_plan } else { &demo_plan };
                 let plan = FaultPlan { seed, ..base.clone() };
                 run_rep(pp, &plan, seed, rep as u64)
-            });
+            })
+            .unless_timed_out()?;
 
             // Enrich the per-rep outcomes with the retry work of the reps
             // that produced data.

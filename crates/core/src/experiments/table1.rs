@@ -68,7 +68,9 @@ fn rows_from(fidelity: Fidelity, points: &[PointOutcome]) -> Vec<TableRow> {
 
 /// Compute the rows (standalone serial campaign).
 pub fn rows(fidelity: Fidelity) -> Vec<TableRow> {
-    rows_from(fidelity, &campaign::run_points(&Table1, fidelity))
+    let opts = campaign::CampaignOptions::serial(fidelity);
+    let points = campaign::run_outcomes_with_store(&Table1, &opts, None);
+    rows_from(fidelity, &points)
 }
 
 /// Registry driver for Table 1 (same plan as Figure 5; every point shared

@@ -8,7 +8,8 @@
 //! executes each repetition under [`std::panic::catch_unwind`], retries a
 //! failed rep **once** with a freshly derived seed, and otherwise records a
 //! structured failure so the campaign still produces its median/decile
-//! bands from the surviving repetitions.
+//! bands from the surviving repetitions. That policy, `retry_once`, is
+//! also the one the campaign engine applies to every sweep point.
 //!
 //! Panics raised inside a repetition are silenced (no backtrace spam on
 //! stderr) via a process-global hook that defers to the previous hook
@@ -18,6 +19,10 @@ use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
+use std::time::Duration;
+
+use simcore::cancel::{self, CancelToken};
+use simcore::telemetry::{self, Journal};
 
 use crate::report::RunOutcome;
 
@@ -128,6 +133,21 @@ impl<R> Campaign<R> {
     pub fn outcomes(&self) -> Vec<RunOutcome> {
         self.records.iter().map(RunRecord::outcome).collect()
     }
+
+    /// The campaign, or the error of its first timed-out rep. The
+    /// survivors of a deadline-cut campaign are not the measurement that
+    /// was asked for, so the enclosing sweep point must fail (and stay out
+    /// of the result store) instead of reporting them.
+    pub(crate) fn unless_timed_out(self) -> Result<Campaign<R>, String> {
+        match self
+            .records
+            .iter()
+            .find(|r| matches!(r.status, RunStatus::TimedOut { .. }))
+        {
+            Some(r) => Err(r.status.error().unwrap_or_default().to_owned()),
+            None => Ok(self),
+        }
+    }
 }
 
 thread_local! {
@@ -162,9 +182,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run `f` with panics caught and silenced; an `Err` return and a panic
-/// both come back as the error string. Nests: the campaign engine guards
-/// whole sweep points while `run_campaign` guards individual repetitions
-/// inside them, so the guard flag is saved and restored rather than reset.
+/// both come back as the error string. Nests: `retry_once` guards whole
+/// sweep points and, inside them, `run_campaign`'s repetitions, so the
+/// guard flag is saved and restored rather than reset.
 pub fn guarded<R, E: fmt::Display>(f: impl FnOnce() -> Result<R, E>) -> Result<R, String> {
     install_quiet_hook();
     let prev = GUARDED.with(|g| g.replace(true));
@@ -187,14 +207,88 @@ pub fn retry_seed(seed: u64, rep: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// How [`retry_once`] ended: the seed of the attempt it describes (the
+/// retry seed once the first attempt failed), that attempt's status and
+/// value, and its telemetry journal when recording.
+pub(crate) struct Attempt<R> {
+    /// Seed of the described attempt.
+    pub seed: u64,
+    /// Outcome.
+    pub status: RunStatus,
+    /// The measurement, when an attempt succeeded.
+    pub value: Option<R>,
+    /// Journal of the described attempt (`None` unless recording).
+    pub journal: Option<Journal>,
+}
+
+/// The crate's one retry policy, shared by the campaign engine's sweep
+/// points and [`run_campaign`]'s repetitions.
+///
+/// `attempt(first)` runs [`guarded`]; a failed attempt is retried once as
+/// `attempt(retry)`. With `timeout` set, each attempt runs under a fresh
+/// deadline [`CancelToken`]; without one it runs under the caller's
+/// ambient [`cancel::current`] token, so repetitions nested in a sweep
+/// point share that point's deadline. An attempt that fails with its token
+/// cancelled is [`RunStatus::TimedOut`] and terminal: a retry would spend
+/// the same budget wedging the same way. With `record`, each attempt runs
+/// under a fresh telemetry recorder.
+pub(crate) fn retry_once<R, E: fmt::Display>(
+    [first, retry]: [u64; 2],
+    timeout: Option<Duration>,
+    record: bool,
+    mut attempt: impl FnMut(u64) -> Result<R, E>,
+) -> Attempt<R> {
+    let mut run = |seed: u64, ok: RunStatus| {
+        if record {
+            telemetry::install();
+        }
+        let token = timeout
+            .map(CancelToken::with_deadline)
+            .or_else(cancel::current);
+        let mut guarded_attempt = || guarded(|| attempt(seed));
+        let res = match &token {
+            Some(t) => cancel::scoped(t.clone(), guarded_attempt),
+            None => guarded_attempt(),
+        };
+        let journal = if record { telemetry::take() } else { None };
+        let (status, value) = match res {
+            Ok(v) => (ok, Some(v)),
+            // Only a *failed* attempt counts as timed out: a value computed
+            // just as the deadline passed is still a valid measurement.
+            Err(error) if token.is_some_and(|t| t.is_cancelled()) => {
+                (RunStatus::TimedOut { error }, None)
+            }
+            Err(error) => (RunStatus::Failed { error }, None),
+        };
+        Attempt {
+            seed,
+            status,
+            value,
+            journal,
+        }
+    };
+    let a = run(first, RunStatus::Completed);
+    match a.status {
+        RunStatus::Failed { error } => run(
+            retry,
+            RunStatus::Recovered {
+                failed_seed: first,
+                error,
+            },
+        ),
+        status => Attempt { status, ..a },
+    }
+}
+
 /// Run `reps` repetitions of `attempt` crash-proof.
 ///
 /// `attempt(rep, seed)` measures one repetition with the given seed and may
 /// return an error **or panic**; both count as a failed attempt. The first
 /// attempt of rep `i` uses `base_seed + i` (matching the seeded-repetition
-/// convention of the healthy drivers); a failed attempt is retried once
-/// with [`retry_seed`]`(base_seed, i)`. A rep whose retry also fails is
-/// recorded as [`RunStatus::Failed`] and contributes no value.
+/// convention of the healthy drivers); each rep goes through
+/// `retry_once` with [`retry_seed`]`(base_seed, i)` as its retry seed and
+/// under the caller's ambient deadline. A rep that produced no data is
+/// recorded as [`RunStatus::Failed`] or [`RunStatus::TimedOut`].
 pub fn run_campaign<R, E: fmt::Display>(
     reps: u32,
     base_seed: u64,
@@ -203,40 +297,17 @@ pub fn run_campaign<R, E: fmt::Display>(
     let mut records = Vec::with_capacity(reps as usize);
     let mut values = Vec::new();
     for rep in 0..reps {
-        let seed = base_seed.wrapping_add(rep as u64);
-        match guarded(|| attempt(rep, seed)) {
-            Ok(v) => {
-                records.push(RunRecord {
-                    rep,
-                    seed,
-                    status: RunStatus::Completed,
-                });
-                values.push((rep, v));
-            }
-            Err(first_error) => {
-                let fresh = retry_seed(base_seed, rep);
-                match guarded(|| attempt(rep, fresh)) {
-                    Ok(v) => {
-                        records.push(RunRecord {
-                            rep,
-                            seed: fresh,
-                            status: RunStatus::Recovered {
-                                failed_seed: seed,
-                                error: first_error,
-                            },
-                        });
-                        values.push((rep, v));
-                    }
-                    Err(second_error) => records.push(RunRecord {
-                        rep,
-                        seed: fresh,
-                        status: RunStatus::Failed {
-                            error: second_error,
-                        },
-                    }),
-                }
-            }
-        }
+        let seeds = [
+            base_seed.wrapping_add(rep as u64),
+            retry_seed(base_seed, rep),
+        ];
+        let a = retry_once(seeds, None, false, |seed| attempt(rep, seed));
+        values.extend(a.value.map(|v| (rep, v)));
+        records.push(RunRecord {
+            rep,
+            seed: a.seed,
+            status: a.status,
+        });
     }
     Campaign { records, values }
 }
@@ -327,5 +398,67 @@ mod tests {
             RunStatus::Failed { error } => assert!(error.contains("black-out"), "{}", error),
             s => panic!("expected failure, got {:?}", s),
         }
+    }
+
+    #[test]
+    fn cancelled_ambient_token_times_out_without_retry() {
+        // A rep nested in a sweep point whose deadline already tripped:
+        // the failure is a timeout, not a flaky attempt worth retrying,
+        // and the campaign refuses to stand in for the point's value.
+        let token = CancelToken::new();
+        token.cancel();
+        let mut seeds = Vec::new();
+        let c = cancel::scoped(token, || {
+            run_campaign(2, 40, |_, seed| -> Result<u64, String> {
+                seeds.push(seed);
+                Err("engine cancelled".into())
+            })
+        });
+        assert_eq!(seeds, [40, 41], "one attempt per rep, no retry");
+        for r in &c.records {
+            assert_eq!(r.status.label(), "timeout");
+            assert!(r.status.is_lost());
+        }
+        let err = c.unless_timed_out().expect_err("timed-out campaign");
+        assert!(err.contains("cancelled"), "{}", err);
+        // Without an ambient token the same failure is retried once, and a
+        // campaign with only failed reps stands (the black-out demo).
+        let c = run_campaign(1, 40, |_, _| -> Result<u64, String> { Err("flaky".into()) });
+        assert_eq!(c.records[0].status.label(), "failed");
+        assert!(c.unless_timed_out().is_ok());
+    }
+
+    /// A timer storm that never quiesces; only cancellation stops it.
+    fn wedge() -> Result<u64, String> {
+        let mut e = simcore::Engine::new();
+        e.after(simcore::SimTime::PS, 1);
+        e.try_run(|eng, _| {
+            eng.after(simcore::SimTime::PS, 1);
+        })
+        .map_err(|err| err.to_string())?;
+        unreachable!("the storm never runs dry");
+    }
+
+    #[test]
+    fn deadline_timeout_is_terminal() {
+        let budget = Some(Duration::from_millis(30));
+        // A wedged first attempt times out on its own seed: no retry ran.
+        let a = retry_once([1, 2], budget, false, |_| wedge());
+        assert_eq!((a.seed, a.status.label()), (1, "timeout"));
+        let error = a.status.error().unwrap();
+        assert!(
+            error.contains("cancelled") && error.contains("deadline"),
+            "{}",
+            error
+        );
+        // A panicking first attempt is retried, and the wedged retry times
+        // out on the retry seed under its own fresh deadline.
+        let a = retry_once([1, 2], budget, false, |seed| {
+            if seed == 1 {
+                panic!("flaky first attempt");
+            }
+            wedge()
+        });
+        assert_eq!((a.seed, a.status.label()), (2, "timeout"));
     }
 }

@@ -36,6 +36,18 @@ cargo run --release -p bench --bin repro -- --quick --only fig4 \
   --store "$store_dir/store" --resume --json "$store_dir/b.json"
 cmp "$store_dir/a.json" "$store_dir/b.json"
 
+echo "==> timeout never poisons resume"
+# A deadline that cuts a point's inner repetitions times the point out, so
+# nothing is persisted; resuming without a deadline recomputes it and must
+# export a clean run's bytes (DESIGN.md §7).
+cargo run --release -p bench --bin repro -- --quick --only faulted_pingpong \
+  --timeout 1e-9 --store "$store_dir/cut" --allow-partial
+cargo run --release -p bench --bin repro -- --quick --only faulted_pingpong \
+  --store "$store_dir/cut" --resume --json "$store_dir/cut-b.json"
+cargo run --release -p bench --bin repro -- --quick --only faulted_pingpong \
+  --json "$store_dir/cut-clean.json"
+cmp "$store_dir/cut-b.json" "$store_dir/cut-clean.json"
+
 echo "==> model validation: oracles, metamorphic invariants, differential fuzz"
 # Exits non-zero if any oracle check fails (repro gates on failed checks).
 cargo run --release -p bench --bin repro -- --quick --validate --fuzz-budget 60 --jobs 2

@@ -22,7 +22,8 @@ fn temp_store(tag: &str) -> ResultStore {
 #[test]
 fn every_registry_experiment_value_roundtrips_exactly() {
     for exp in experiments::all_experiments() {
-        let outcomes = campaign::run_points(exp, Fidelity::Quick);
+        let opts = CampaignOptions::serial(Fidelity::Quick);
+        let outcomes = campaign::run_outcomes_with_store(exp, &opts, None);
         let mut encoded = 0usize;
         for o in &outcomes {
             let Some(value) = &o.value else { continue };
@@ -115,5 +116,30 @@ fn resumed_campaign_is_byte_identical_across_jobs() {
         &runs2.iter().flat_map(|r| r.figures.clone()).collect::<Vec<_>>(),
     );
     assert_eq!(clean, resumed, "resumed figures differ from a clean run");
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// A deadline that cancels the repetitions nested inside a sweep point
+/// must time the point out, not persist the survivors: a later resume
+/// without a deadline recomputes it and renders a clean run's bytes.
+#[test]
+fn timed_out_points_are_never_persisted_or_restored() {
+    let exp = experiments::find("faulted_pingpong").expect("registered");
+    let store = temp_store("timeout-resume");
+    let ctx = Some(StoreCtx {
+        store: &store,
+        resume: true,
+    });
+    let quick = CampaignOptions::serial(Fidelity::Quick);
+    let cut = quick.with_timeout(Some(std::time::Duration::from_nanos(1)));
+    for o in campaign::run_outcomes_with_store(exp, &cut, ctx) {
+        assert_eq!(o.status.label(), "timeout", "{}", o.label);
+    }
+    assert_eq!(store.stats().persisted, 0, "timed-out point persisted");
+    let json = |ctx| {
+        let runs = campaign::run_set_with_store(&[exp], &quick, ctx).0;
+        figures_to_json(&runs.into_iter().flat_map(|r| r.figures).collect::<Vec<_>>())
+    };
+    assert_eq!(json(ctx), json(None), "resume served a timed-out point");
     let _ = std::fs::remove_dir_all(store.dir());
 }
