@@ -83,6 +83,7 @@ use interference::campaign::{
 };
 use interference::experiments::contention::Metric;
 use interference::experiments::harvest::Family;
+use interference::experiments::validation::Validate;
 use interference::experiments::{self, Fidelity};
 use interference::store::{ResultStore, StoreStats};
 use topology::presets::Preset;
@@ -140,6 +141,7 @@ struct Args {
     timings_path: Option<String>,
     trace_path: Option<String>,
     timeout: Option<Duration>,
+    fuzz_budget: Option<usize>,
     allow_partial: bool,
     list: bool,
     select: Option<String>,
@@ -217,12 +219,7 @@ fn parse(argv: Vec<String>) -> Args {
             "--allow-partial" => a.allow_partial = true,
             "--all" => a.select = None,
             "--ext" | "--validate" | "--predict-check" => a.select = Some(flag[2..].to_string()),
-            "--fuzz-budget" => {
-                let n: usize = num(value(), |&n| n >= 1);
-                // The validation plan reads the budget from the environment
-                // so plan() and run_point() agree on the chunking.
-                std::env::set_var("SIMCHECK_FUZZ_BUDGET", n.to_string());
-            }
+            "--fuzz-budget" => a.fuzz_budget = Some(num(value(), |&n| n >= 1)),
             "--fig" | "--table" => a.select = Some(format!("{}{}", &flag[2..], value())),
             "--only" => a
                 .only
@@ -295,7 +292,10 @@ fn campaign_cli(a: &Args) {
     }
     let store = open_store(a);
 
-    let exps = selected_experiments(a.select.as_deref(), &a.only);
+    let validate = Validate {
+        fuzz_budget: a.fuzz_budget,
+    };
+    let exps = selected_experiments(a.select.as_deref(), &a.only, &validate);
     let opts = CampaignOptions::new(a.fidelity(), a.jobs)
         .with_telemetry(a.trace_path.is_some())
         .with_timeout(a.timeout);
@@ -392,7 +392,11 @@ fn campaign_cli(a: &Args) {
 }
 
 /// Resolve the CLI selection to registry entries.
-fn selected_experiments(select: Option<&str>, only: &[String]) -> Vec<&'static dyn Experiment> {
+fn selected_experiments<'a>(
+    select: Option<&str>,
+    only: &[String],
+    validate: &'a Validate,
+) -> Vec<&'a dyn Experiment> {
     if !only.is_empty() {
         return only
             .iter()
@@ -407,10 +411,7 @@ fn selected_experiments(select: Option<&str>, only: &[String]) -> Vec<&'static d
     match select {
         None => experiments::PAPER_EXPERIMENTS.to_vec(),
         Some("ext") => experiments::EXTENSION_EXPERIMENTS.to_vec(),
-        Some("validate") => vec![
-            experiments::VALIDATION_EXPERIMENT,
-            predict::accuracy::ACCURACY_EXPERIMENT,
-        ],
+        Some("validate") => vec![validate, predict::accuracy::ACCURACY_EXPERIMENT],
         Some("predict-check") => vec![predict::accuracy::ACCURACY_EXPERIMENT],
         Some(name) => match experiments::find(name) {
             Some(e) => vec![e],

@@ -1,12 +1,16 @@
-//! Declarative experiment campaigns: the `Experiment` trait and the
-//! parallel engine that executes sweep plans.
+//! Declarative experiment campaigns: the [`Sweep`] declaration drivers
+//! implement, and the parallel engine that executes sweep plans.
 //!
-//! Each figure/table driver describes itself as an [`Experiment`]: a name,
-//! a paper anchor, a fidelity-aware sweep plan of enumerable
-//! [`SweepPoint`]s, a per-point measurement, and a `finalize` step that
-//! folds the point values into [`FigureData`]. The engine flattens the
-//! plans of every selected experiment into one work queue and executes the
-//! points on a pool of `std::thread` workers.
+//! Each figure/table driver declares itself once, as a [`Sweep`]: a name,
+//! a paper anchor, a fidelity-aware list of typed points (a point's
+//! position in the list is its index), a per-point measurement returning a
+//! typed value, and a `figures` step that reads the values back in plan
+//! order. The engine holds every driver as an object-safe
+//! [`Experiment`] — a blanket impl over [`Sweep`] that erases points into
+//! [`SweepPoint`]s and values into [`PointValue`]s, and owns the one
+//! downcast and the one value codec ([`crate::codec::Codec`]). It flattens
+//! the plans of every selected experiment into one work queue and executes
+//! the points on a pool of `std::thread` workers.
 //!
 //! **Determinism.** A point's seed is derived *only* from the experiment
 //! name and the point index ([`point_seed`]), never from execution order,
@@ -31,6 +35,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -38,36 +43,28 @@ use std::time::{Duration, Instant};
 use simcore::telemetry::{self, Journal, Lane, Record, RecordKind};
 use simcore::{SimPaths, SimTime, SplitMix64};
 
-use crate::codec::{Dec, Enc};
+use crate::codec::{self, Codec, Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::report::FigureData;
 use crate::runner::{self, RunStatus};
 use crate::store::{Lookup, ResultStore};
 
-/// Opaque per-point measurement value, downcast by `finalize`.
+/// Opaque per-point measurement value: a [`Sweep::Value`], erased.
 pub type PointValue = Box<dyn Any + Send>;
 
-/// One enumerable point of an experiment's sweep plan.
-#[derive(Clone, Debug)]
+/// One enumerable point of an experiment's sweep plan: a
+/// [`Sweep::Point`], erased, with its plan position and label.
+#[derive(Debug)]
 pub struct SweepPoint {
-    /// Position in the plan (dense, 0-based). Seeds derive from it, and
-    /// `run_point` re-derives the sweep coordinates from it.
+    /// Position in the plan (dense, 0-based). Seeds and store keys derive
+    /// from it.
     pub index: usize,
     /// Human-readable label ("lat @ 12 cores"), for progress and `--list`.
     pub label: String,
+    point: Box<dyn Any + Send + Sync>,
 }
 
-impl SweepPoint {
-    /// Build a point.
-    pub fn new(index: usize, label: impl Into<String>) -> SweepPoint {
-        SweepPoint {
-            index,
-            label: label.into(),
-        }
-    }
-}
-
-/// Execution context handed to [`Experiment::run_point`].
+/// Execution context handed to [`Sweep::measure`].
 pub struct PointCtx<'a> {
     /// Sweep density / repetition selector of the campaign.
     pub fidelity: Fidelity,
@@ -78,34 +75,105 @@ pub struct PointCtx<'a> {
     pub baselines: &'a BaselineCache,
 }
 
-/// A declarative experiment: sweep plan + per-point measurement + figure
-/// assembly. Implementors are unit structs registered in
-/// [`crate::experiments`].
-pub trait Experiment: Sync {
-    /// Registry name (unique, stable; used by `repro --only`).
-    fn name(&self) -> &'static str;
+/// A typed sweep: the one declaration a figure/table driver writes.
+/// Implementors are registered in [`crate::experiments`] as
+/// [`Experiment`]s, which every `Sweep` is.
+pub trait Sweep: Sync {
+    /// Registry name (unique, stable; used by `repro --only` and the
+    /// store keys).
+    const NAME: &'static str;
     /// Where in the paper the experiment lives ("§4.2, Figures 4a/4b").
-    fn anchor(&self) -> &'static str;
-    /// Enumerate the sweep points at the given fidelity. Indices must be
-    /// dense and 0-based — seeds and result slots key off them.
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint>;
-    /// Measure one sweep point. Runs on a worker thread; must derive all
+    const ANCHOR: &'static str;
+    /// Persist point values in the result store, so `--resume` restores
+    /// them instead of recomputing.
+    const DURABLE: bool = true;
+    /// The coordinates of one sweep point.
+    type Point: Send + Sync + 'static;
+    /// What measuring one point yields.
+    type Value: Codec + Send + 'static;
+
+    /// The labelled points at the given fidelity, in plan order: a
+    /// point's position is its index.
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Self::Point)>;
+    /// Measure one point. Runs on a worker thread; must derive all
     /// randomness from `ctx.seed` (or [`BaselineCache`] keys) so parallel
     /// and serial campaigns are bit-identical.
+    fn measure(&self, point: &Self::Point, ctx: &PointCtx<'_>) -> Result<Self::Value, String>;
+    /// Fold the values (in plan order) into figures.
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData>;
+}
+
+/// The object-safe face of a [`Sweep`], which the registries and the
+/// engine hold as `&dyn Experiment`. Its one implementation is the blanket
+/// impl below.
+pub trait Experiment: Sync {
+    /// [`Sweep::NAME`].
+    fn name(&self) -> &'static str;
+    /// [`Sweep::ANCHOR`].
+    fn anchor(&self) -> &'static str;
+    /// The erased [`Sweep::sweep`]: dense, 0-based indices.
+    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint>;
+    /// [`Sweep::measure`] of a point of this experiment's plan.
     fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String>;
-    /// Fold the executed points (in plan order) into figures.
+    /// [`Sweep::figures`] over the executed points (in plan order).
     fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData>;
-    /// Serialize a point value for the durable result store (exact bits —
-    /// see [`crate::codec`]). Default `None`: the experiment's points are
-    /// recomputed on resume instead of restored. Implementations must
-    /// round-trip through [`Experiment::decode_value`] bit-identically.
-    fn encode_value(&self, _value: &PointValue) -> Option<Vec<u8>> {
-        None
-    }
+    /// The value's exact bytes for the durable result store; `None` when
+    /// the experiment is not [`Sweep::DURABLE`].
+    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>>;
     /// Inverse of [`Experiment::encode_value`]. Returns `None` on any
     /// malformed or stale layout (the point is then recomputed).
-    fn decode_value(&self, _bytes: &[u8]) -> Option<PointValue> {
-        None
+    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue>;
+}
+
+impl<S: Sweep> Experiment for S {
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn anchor(&self) -> &'static str {
+        S::ANCHOR
+    }
+
+    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
+        self.sweep(fidelity)
+            .into_iter()
+            .enumerate()
+            .map(|(index, (label, point))| SweepPoint {
+                index,
+                label,
+                point: Box::new(point),
+            })
+            .collect()
+    }
+
+    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
+        let p = point.point.downcast_ref::<S::Point>().unwrap_or_else(|| {
+            panic!(
+                "{}: point {} is not from this experiment's plan",
+                S::NAME,
+                point.index
+            )
+        });
+        Ok(Box::new(self.measure(p, ctx)?))
+    }
+
+    fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
+        self.figures(fidelity, Values::new(points))
+    }
+
+    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
+        if !S::DURABLE {
+            return None;
+        }
+        value.downcast_ref::<S::Value>().map(codec::to_bytes)
+    }
+
+    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
+        if !S::DURABLE {
+            return None;
+        }
+        let v: S::Value = codec::from_bytes(bytes)?;
+        Some(Box::new(v))
     }
 }
 
@@ -133,21 +201,75 @@ pub struct PointOutcome {
     pub restored: bool,
 }
 
-/// Downcast the value of point `index`, panicking with the recorded error
-/// when the point failed both attempts — the same surface behaviour as the
-/// pre-registry drivers, which panicked on a failed measurement.
-pub fn expect_value<T: 'static>(points: &[PointOutcome], index: usize) -> &T {
-    let p = &points[index];
-    match &p.value {
-        Some(v) => v
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("point {} ({}) has an unexpected value type", index, p.label)),
-        None => panic!(
-            "point {} ({}) failed: {}",
-            index,
-            p.label,
-            p.status.error().unwrap_or("no error recorded")
-        ),
+/// The typed values of one experiment's executed points, in plan order —
+/// what [`Sweep::figures`] reads.
+pub struct Values<'a, V> {
+    points: &'a [PointOutcome],
+    value: PhantomData<fn() -> V>,
+}
+
+impl<V> Clone for Values<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for Values<'_, V> {}
+
+impl<'a, V: 'static> Values<'a, V> {
+    /// View `points` (the outcomes of a [`Sweep`] whose value type is `V`).
+    pub fn new(points: &'a [PointOutcome]) -> Values<'a, V> {
+        Values {
+            points,
+            value: PhantomData,
+        }
+    }
+
+    /// Number of planned points.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// True for an empty plan.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The value of point `i`, panicking with the recorded error when the
+    /// point failed both attempts (`finalize` runs guarded, so the
+    /// experiment is reported partial and the campaign goes on).
+    pub fn get(&self, i: usize) -> &'a V {
+        let p = &self.points[i];
+        match &p.value {
+            Some(v) => Self::typed(p, v),
+            None => panic!(
+                "point {} ({}) failed: {}",
+                i,
+                p.label,
+                p.status.error().unwrap_or("no error recorded")
+            ),
+        }
+    }
+
+    /// Every value in plan order ([`Values::get`] of each point).
+    pub fn iter(self) -> impl Iterator<Item = &'a V> {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The values of the points that produced one, in plan order.
+    pub fn present(self) -> impl Iterator<Item = &'a V> {
+        self.points
+            .iter()
+            .filter_map(|p| p.value.as_ref().map(|v| Self::typed(p, v)))
+    }
+
+    fn typed(p: &PointOutcome, v: &'a PointValue) -> &'a V {
+        v.downcast_ref::<V>().unwrap_or_else(|| {
+            panic!(
+                "point {} ({}) has an unexpected value type",
+                p.index, p.label
+            )
+        })
     }
 }
 
@@ -395,10 +517,12 @@ pub struct StoreCtx<'a> {
     pub resume: bool,
 }
 
-/// Version of the campaign-level point payload layout (wrapped around the
-/// experiment's own value encoding). Part of the store key: bumping it
-/// orphans old entries instead of misparsing them.
-const POINT_FORMAT: u32 = 1;
+/// Version of the point payload layout: the campaign's status header and
+/// the value codecs behind it. Part of the store key: bumping it orphans
+/// old entries instead of misparsing them. v2: values encode through
+/// [`Codec`] (fig7 lost its tag byte, ablations became a `Vec<f64>`,
+/// faulted_pingpong's demo value shrank).
+const POINT_FORMAT: u32 = 2;
 
 /// Store key of one sweep point. Identity = experiment name, fidelity,
 /// plan index and the hash-derived first-attempt seed ([`point_seed`]) —
@@ -686,9 +810,9 @@ pub fn run_set_with_store(
             let timed_out = count(|o| matches!(o.status, RunStatus::TimedOut { .. }));
             let restored = count(|o| o.restored);
             let t0 = Instant::now();
-            // Guarded: most finalizers call `expect_value` and panic on a
-            // lost point; one partial experiment must not take down the
-            // figures of every other experiment in the campaign.
+            // Guarded: `Values::get` panics on a lost point, and one
+            // partial experiment must not take down the figures of every
+            // other experiment in the campaign.
             let (figures, finalize_error) =
                 match runner::guarded(|| Ok::<_, String>(exp.finalize(opts.fidelity, &outcomes)))
                 {
@@ -813,30 +937,31 @@ mod tests {
 
     struct Doubler;
 
-    impl Experiment for Doubler {
-        fn name(&self) -> &'static str {
-            "doubler"
+    impl Sweep for Doubler {
+        const NAME: &'static str = "doubler";
+        const ANCHOR: &'static str = "test";
+        const DURABLE: bool = false;
+        type Point = usize;
+        type Value = usize;
+
+        fn sweep(&self, _f: Fidelity) -> Vec<(String, usize)> {
+            (0..6).map(|i| (format!("x={}", i), i)).collect()
         }
-        fn anchor(&self) -> &'static str {
-            "test"
-        }
-        fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..6).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
-        }
-        fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-            if point.index == 3 && ctx.seed == point_seed("doubler", 3) {
+        fn measure(&self, &x: &usize, ctx: &PointCtx<'_>) -> Result<usize, String> {
+            if x == 3 && ctx.seed == point_seed("doubler", 3) {
                 panic!("flaky first attempt");
             }
-            if point.index == 5 {
+            if x == 5 {
                 return Err("permanently broken".into());
             }
-            Ok(Box::new(point.index * 2))
+            Ok(x * 2)
         }
-        fn finalize(&self, _f: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
-            assert_eq!(points.len(), 6);
-            for p in points.iter().take(5) {
-                assert_eq!(*expect_value::<usize>(points, p.index), p.index * 2);
+        fn figures(&self, _f: Fidelity, values: Values<'_, usize>) -> Vec<FigureData> {
+            assert_eq!(values.len(), 6);
+            for i in 0..5 {
+                assert_eq!(*values.get(i), i * 2);
             }
+            assert_eq!(values.present().count(), 5);
             Vec::new()
         }
     }
@@ -876,42 +1001,30 @@ mod tests {
         }
     }
 
-    /// A durable Doubler: same sweep, plus a value codec so points can be
-    /// restored from a store.
+    /// A durable Doubler: same sweep, and its points can be restored from
+    /// a store.
     struct DurableDoubler;
 
-    impl Experiment for DurableDoubler {
-        fn name(&self) -> &'static str {
-            "durable_doubler"
+    impl Sweep for DurableDoubler {
+        const NAME: &'static str = "durable_doubler";
+        const ANCHOR: &'static str = "test";
+        type Point = usize;
+        type Value = usize;
+
+        fn sweep(&self, _f: Fidelity) -> Vec<(String, usize)> {
+            (0..4).map(|i| (format!("x={}", i), i)).collect()
         }
-        fn anchor(&self) -> &'static str {
-            "test"
-        }
-        fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..4).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
-        }
-        fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-            if point.index == 1 && ctx.seed == point_seed("durable_doubler", 1) {
+        fn measure(&self, &x: &usize, ctx: &PointCtx<'_>) -> Result<usize, String> {
+            if x == 1 && ctx.seed == point_seed("durable_doubler", 1) {
                 panic!("flaky first attempt");
             }
-            Ok(Box::new(point.index * 2))
+            Ok(x * 2)
         }
-        fn finalize(&self, _f: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
-            for p in points {
-                assert_eq!(*expect_value::<usize>(points, p.index), p.index * 2);
+        fn figures(&self, _f: Fidelity, values: Values<'_, usize>) -> Vec<FigureData> {
+            for (i, v) in values.iter().enumerate() {
+                assert_eq!(*v, i * 2);
             }
             Vec::new()
-        }
-        fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-            let v = value.downcast_ref::<usize>()?;
-            let mut e = Enc::new();
-            e.usize(*v);
-            Some(e.into_bytes())
-        }
-        fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-            let mut d = Dec::new(bytes);
-            let v = d.usize()?;
-            d.finish(Box::new(v) as PointValue)
         }
     }
 
@@ -994,24 +1107,19 @@ mod tests {
     #[test]
     fn finalize_panic_is_contained() {
         struct BrokenFinalize;
-        impl Experiment for BrokenFinalize {
-            fn name(&self) -> &'static str {
-                "broken_finalize"
+        impl Sweep for BrokenFinalize {
+            const NAME: &'static str = "broken_finalize";
+            const ANCHOR: &'static str = "test";
+            type Point = ();
+            type Value = usize;
+
+            fn sweep(&self, _f: Fidelity) -> Vec<(String, ())> {
+                vec![("p".to_string(), ())]
             }
-            fn anchor(&self) -> &'static str {
-                "test"
+            fn measure(&self, _point: &(), _ctx: &PointCtx<'_>) -> Result<usize, String> {
+                Ok(0)
             }
-            fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-                vec![SweepPoint::new(0, "p".to_string())]
-            }
-            fn run_point(
-                &self,
-                _point: &SweepPoint,
-                _ctx: &PointCtx<'_>,
-            ) -> Result<PointValue, String> {
-                Ok(Box::new(()))
-            }
-            fn finalize(&self, _f: Fidelity, _points: &[PointOutcome]) -> Vec<FigureData> {
+            fn figures(&self, _f: Fidelity, _values: Values<'_, usize>) -> Vec<FigureData> {
                 panic!("finalize exploded");
             }
         }
@@ -1075,29 +1183,30 @@ mod tests {
     /// wedges forever — only a deadline stops it.
     struct SharedWedgedBaseline;
 
-    impl Experiment for SharedWedgedBaseline {
-        fn name(&self) -> &'static str {
-            "shared_wedged_baseline"
+    impl Sweep for SharedWedgedBaseline {
+        const NAME: &'static str = "shared_wedged_baseline";
+        const ANCHOR: &'static str = "test";
+        type Point = usize;
+        type Value = usize;
+
+        fn sweep(&self, _f: Fidelity) -> Vec<(String, usize)> {
+            (0..3).map(|i| (format!("x={}", i), i)).collect()
         }
-        fn anchor(&self) -> &'static str {
-            "test"
+        fn measure(&self, _point: &usize, ctx: &PointCtx<'_>) -> Result<usize, String> {
+            let v: Arc<usize> = ctx
+                .baselines
+                .get_or_compute_result("wedged-baseline", |_| {
+                    let mut e = simcore::Engine::new();
+                    e.after(SimTime::PS, 1);
+                    e.try_run(|eng, _| {
+                        eng.after(SimTime::PS, 1);
+                    })
+                    .map_err(|err| err.to_string())?;
+                    unreachable!("the storm never runs dry");
+                })?;
+            Ok(*v)
         }
-        fn plan(&self, _f: Fidelity) -> Vec<SweepPoint> {
-            (0..3).map(|i| SweepPoint::new(i, format!("x={}", i))).collect()
-        }
-        fn run_point(&self, _point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-            let v: Arc<u64> = ctx.baselines.get_or_compute_result("wedged-baseline", |_| {
-                let mut e = simcore::Engine::new();
-                e.after(SimTime::PS, 1);
-                e.try_run(|eng, _| {
-                    eng.after(SimTime::PS, 1);
-                })
-                .map_err(|err| err.to_string())?;
-                unreachable!("the storm never runs dry");
-            })?;
-            Ok(Box::new(*v))
-        }
-        fn finalize(&self, _f: Fidelity, _points: &[PointOutcome]) -> Vec<FigureData> {
+        fn figures(&self, _f: Fidelity, _values: Values<'_, usize>) -> Vec<FigureData> {
             Vec::new()
         }
     }

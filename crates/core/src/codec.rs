@@ -1,15 +1,193 @@
 //! Exact binary (de)serialization of point values for the result store.
 //!
-//! Experiments persist their per-point measurements through
-//! [`crate::campaign::Experiment::encode_value`] /
-//! [`crate::campaign::Experiment::decode_value`], implemented with this
-//! little writer/reader pair. The format is deliberately dumb: fixed-width
-//! little-endian fields appended in declaration order, floats as raw IEEE
-//! bits ([`f64::to_bits`]) so a restored value is **bit-identical** to the
-//! computed one — the property the resume byte-identity guarantee rests
-//! on. No self-description: the store key carries the experiment name and
-//! a format version, and [`Dec::finish`] rejects length mismatches, so a
-//! layout change simply invalidates old entries (they are recomputed).
+//! A sweep's value type implements [`Codec`] — usually by being built from
+//! the types implemented here (`f64`, `usize`, `Vec<T>`, tuples,
+//! [`Either`]) — and the campaign engine persists it through that one
+//! trait (see [`crate::campaign::Sweep`]). The format is deliberately
+//! dumb: fixed-width little-endian fields appended in declaration order,
+//! floats as raw IEEE bits ([`f64::to_bits`]) so a restored value is
+//! **bit-identical** to the computed one — the property the resume
+//! byte-identity guarantee rests on. No self-description: the store key
+//! carries the experiment name and a format version, and [`Dec::finish`]
+//! rejects length mismatches, so a layout change simply invalidates old
+//! entries (they are recomputed).
+
+use crate::report::{Check, RunOutcome};
+
+/// A value with an exact binary form: [`Codec::decode`] of the bytes
+/// [`Codec::encode`] appends gives back a bit-identical value.
+pub trait Codec: Sized {
+    /// Append the value's fields to `e`.
+    fn encode(&self, e: &mut Enc);
+    /// Read one value back; `None` on underrun or a malformed field.
+    fn decode(d: &mut Dec<'_>) -> Option<Self>;
+}
+
+/// The bytes of one value.
+pub fn to_bytes<T: Codec>(value: &T) -> Vec<u8> {
+    let mut e = Enc::new();
+    value.encode(&mut e);
+    e.into_bytes()
+}
+
+/// The value `bytes` hold, if they hold exactly one `T`.
+pub fn from_bytes<T: Codec>(bytes: &[u8]) -> Option<T> {
+    let mut d = Dec::new(bytes);
+    let v = T::decode(&mut d)?;
+    d.finish(v)
+}
+
+impl Codec for f64 {
+    fn encode(&self, e: &mut Enc) {
+        e.f64(*self);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<f64> {
+        d.f64()
+    }
+}
+
+impl Codec for usize {
+    fn encode(&self, e: &mut Enc) {
+        e.usize(*self);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<usize> {
+        d.usize()
+    }
+}
+
+/// A length prefix, then the elements: for `Vec<f64>` the bytes of
+/// [`Enc::f64s`].
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for v in self {
+            v.encode(e);
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Vec<T>> {
+        let n = d.usize()?;
+        // Every element takes at least one byte: a corrupt length prefix
+        // fails here instead of reserving memory for it.
+        if n > d.buf.len() - d.pos {
+            return None;
+        }
+        (0..n).map(|_| T::decode(d)).collect()
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($t:ident),+) => {
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn encode(&self, e: &mut Enc) {
+                let ($($t,)+) = self;
+                $($t.encode(e);)+
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                Some(($($t::decode(d)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A, B);
+tuple_codec!(A, B, C);
+tuple_codec!(A, B, C, D);
+tuple_codec!(A, B, C, D, E);
+
+/// One of two value shapes, for sweeps whose points measure different
+/// things (a tag byte, then the shape's fields).
+#[derive(Debug, PartialEq)]
+pub enum Either<L, R> {
+    /// The first shape (tag 0).
+    Left(L),
+    /// The second shape (tag 1).
+    Right(R),
+}
+
+impl<L, R> Either<L, R> {
+    /// The first shape; panics on the second (the sweep put the point
+    /// kinds in known places, so a mismatch is a driver bug).
+    pub fn unwrap_left(&self) -> &L {
+        match self {
+            Either::Left(l) => l,
+            Either::Right(_) => panic!("expected the first value shape"),
+        }
+    }
+
+    /// The second shape; panics on the first.
+    pub fn unwrap_right(&self) -> &R {
+        match self {
+            Either::Right(r) => r,
+            Either::Left(_) => panic!("expected the second value shape"),
+        }
+    }
+}
+
+impl<L: Codec, R: Codec> Codec for Either<L, R> {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            Either::Left(l) => {
+                e.u8(0);
+                l.encode(e);
+            }
+            Either::Right(r) => {
+                e.u8(1);
+                r.encode(e);
+            }
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(Either::Left(L::decode(d)?)),
+            1 => Some(Either::Right(R::decode(d)?)),
+            _ => None,
+        }
+    }
+}
+
+impl Codec for Check {
+    fn encode(&self, e: &mut Enc) {
+        e.str(&self.name).bool(self.pass).str(&self.detail);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Check> {
+        Some(Check {
+            name: d.str()?,
+            pass: d.bool()?,
+            detail: d.str()?,
+        })
+    }
+}
+
+impl Codec for RunOutcome {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.rep)
+            .u64(self.seed)
+            .str(self.status)
+            .opt_str(&self.error)
+            .u64(self.retries)
+            .u64(self.retrans_bytes)
+            .f64(self.retry_wait_s);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<RunOutcome> {
+        Some(RunOutcome {
+            rep: d.u32()?,
+            seed: d.u64()?,
+            // Back to the `&'static str` the runner hands out (see
+            // `RunStatus::label`); an unknown label is a stale entry.
+            status: {
+                let s = d.str()?;
+                ["ok", "recovered", "failed", "timeout"]
+                    .into_iter()
+                    .find(|l| *l == s)?
+            },
+            error: d.opt_str()?,
+            retries: d.u64()?,
+            retrans_bytes: d.u64()?,
+            retry_wait_s: d.f64()?,
+        })
+    }
+}
 
 /// Append-only binary writer.
 #[derive(Default)]
@@ -223,6 +401,39 @@ mod tests {
         assert_eq!(vs[0], 1.5);
         assert!(vs[1].is_infinite());
         assert_eq!(d.finish(()), Some(()));
+
+        // The generic impls: `Vec<T>`, tuples, `Either`, `Vec<Check>`.
+        type Nested = (Vec<Vec<f64>>, usize, (f64, f64, f64, f64, f64));
+        let nested: Nested = (
+            vec![vec![-0.0, 1e-300], vec![]],
+            7,
+            (1.0, 2.0, 3.0, 4.0, f64::MAX),
+        );
+        let back: Nested = from_bytes(&to_bytes(&nested)).expect("roundtrip");
+        assert_eq!(back.0[0][0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            (&back.0[1], back.1, back.2),
+            (&nested.0[1], nested.1, nested.2)
+        );
+        let either: Vec<Either<f64, (usize, f64)>> =
+            vec![Either::Left(0.5), Either::Right((3, 9.0))];
+        assert_eq!(
+            from_bytes::<Vec<Either<f64, (usize, f64)>>>(&to_bytes(&either)),
+            Some(either)
+        );
+        let checks = vec![
+            Check::new("héllo", true, ""),
+            Check::new("", false, "detail"),
+        ];
+        let back: Vec<Check> = from_bytes(&to_bytes(&checks)).expect("roundtrip");
+        assert_eq!(back.len(), 2);
+        for (a, b) in back.iter().zip(&checks) {
+            assert_eq!((&a.name, a.pass, &a.detail), (&b.name, b.pass, &b.detail));
+        }
+        // `Vec<f64>` keeps the bytes of `Enc::f64s`.
+        let mut e = Enc::new();
+        e.f64s(&[1.5, -2.0]);
+        assert_eq!(to_bytes(&vec![1.5f64, -2.0]), e.into_bytes());
     }
 
     #[test]
@@ -249,6 +460,13 @@ mod tests {
         e.u64(u64::MAX); // absurd element count
         let bytes = e.into_bytes();
         assert_eq!(Dec::new(&bytes).f64s(), None);
+        assert!(from_bytes::<Vec<(f64, usize)>>(&bytes).is_none());
+        assert!(from_bytes::<Vec<Check>>(&bytes).is_none());
+        // A count just past the bytes that follow, and a bad tag byte.
+        let mut e = Enc::new();
+        e.usize(3).f64(1.0).f64(2.0);
+        assert!(from_bytes::<Vec<f64>>(&e.into_bytes()).is_none());
+        assert!(from_bytes::<Either<f64, f64>>(&[2, 0, 0, 0, 0, 0, 0, 0, 0]).is_none());
     }
 
     #[test]

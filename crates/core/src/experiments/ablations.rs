@@ -18,22 +18,13 @@ use mpisim::pingpong::{self, PingPongConfig};
 use simcore::{JitterFamily, Series, Summary};
 use topology::{henri, MachineSpec, Placement};
 
-use crate::campaign::{self, expect_value, point_seed, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{point_seed, PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig};
 use crate::report::{Check, FigureData};
 
 /// NIC DMA arbitration weights swept by ablation 3.
 const NIC_WEIGHTS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
-
-/// A single scalar ablation measurement.
-#[derive(Clone, Copy)]
-struct Scalar(f64);
-
-/// Registration-cache measurement: (first-use µs, cached µs).
-#[derive(Clone, Copy)]
-struct Registration(f64, f64);
 
 /// Latency inflation at full STREAM occupancy for a machine variant.
 fn latency_inflation(machine: &MachineSpec, fidelity: Fidelity, seed: u64) -> Result<f64, String> {
@@ -79,7 +70,7 @@ fn fig2_delta(machine: &MachineSpec, fidelity: Fidelity, seed: u64) -> Result<f6
 }
 
 /// First-use vs cached-buffer latency of a rendezvous-sized message, µs.
-fn registration_effect(machine: &MachineSpec) -> Registration {
+fn registration_effect(machine: &MachineSpec) -> Vec<f64> {
     let cfg = ProtocolConfig::new(machine.clone(), None);
     let family = JitterFamily::new(0xAB_4);
     let mut cluster = protocol::build_cluster(&cfg, &family, 0);
@@ -104,115 +95,90 @@ fn registration_effect(machine: &MachineSpec) -> Registration {
         },
     )
     .median_latency_us();
-    Registration(first, cached)
+    vec![first, cached]
+}
+
+/// One ablation of the plan.
+pub(crate) enum Ablation {
+    /// The congestion latency model on or off.
+    Congestion(bool),
+    /// The package-idle penalty on or off.
+    IdlePenalty(bool),
+    /// One NIC DMA arbitration weight.
+    NicWeight(f64),
+    /// The registration-cache probe.
+    Registration,
 }
 
 /// Registry driver for the model ablations (9 points: two on/off pairs, a
 /// 4-value NIC-weight sweep and the registration-cache probe).
-pub struct Ablations;
+pub(crate) struct Ablations;
 
-impl Experiment for Ablations {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
+impl Sweep for Ablations {
+    const NAME: &'static str = "ablations";
+    const ANCHOR: &'static str = "DESIGN.md §6 model ablations";
+    type Point = Ablation;
+    /// One scalar, or the registration probe's (first-use µs, cached µs).
+    type Value = Vec<f64>;
 
-    fn anchor(&self) -> &'static str {
-        "DESIGN.md §6 model ablations"
-    }
-
-    fn plan(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
+    fn sweep(&self, _fidelity: Fidelity) -> Vec<(String, Ablation)> {
         let mut plan = vec![
-            SweepPoint::new(0, "congestion model on"),
-            SweepPoint::new(1, "congestion model off"),
-            SweepPoint::new(2, "idle penalty on"),
-            SweepPoint::new(3, "idle penalty off"),
+            (
+                "congestion model on".to_string(),
+                Ablation::Congestion(true),
+            ),
+            (
+                "congestion model off".to_string(),
+                Ablation::Congestion(false),
+            ),
+            ("idle penalty on".to_string(), Ablation::IdlePenalty(true)),
+            ("idle penalty off".to_string(), Ablation::IdlePenalty(false)),
         ];
-        for (i, w) in NIC_WEIGHTS.iter().enumerate() {
-            plan.push(SweepPoint::new(4 + i, format!("NIC DMA weight {}", w)));
+        for w in NIC_WEIGHTS {
+            plan.push((format!("NIC DMA weight {}", w), Ablation::NicWeight(w)));
         }
-        plan.push(SweepPoint::new(8, "registration cache"));
+        plan.push(("registration cache".to_string(), Ablation::Registration));
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let base = henri();
-        match point.index {
-            // On/off pairs share the seed of the pair's first point so the
-            // comparison stays paired (sampling noise cancels).
-            0 | 1 => {
-                let seed = point_seed(self.name(), 0);
-                let machine = if point.index == 0 {
-                    base
-                } else {
-                    let mut m = base.clone();
+    fn measure(&self, point: &Ablation, ctx: &PointCtx<'_>) -> Result<Vec<f64>, String> {
+        let mut m = henri();
+        // On/off pairs share the seed of the pair's first point (plan
+        // positions 0 and 2) so the comparison stays paired (sampling
+        // noise cancels).
+        let value = match *point {
+            Ablation::Congestion(on) => {
+                if !on {
                     m.congestion_gain = 0.0;
-                    m
-                };
-                Ok(Box::new(Scalar(latency_inflation(
-                    &machine,
-                    ctx.fidelity,
-                    seed,
-                )?)))
+                }
+                latency_inflation(&m, ctx.fidelity, point_seed(Self::NAME, 0))?
             }
-            2 | 3 => {
-                let seed = point_seed(self.name(), 2);
-                let machine = if point.index == 2 {
-                    base
-                } else {
-                    let mut m = base.clone();
+            Ablation::IdlePenalty(on) => {
+                if !on {
                     m.idle_uncore_penalty_s = 0.0;
-                    m
-                };
-                Ok(Box::new(Scalar(fig2_delta(&machine, ctx.fidelity, seed)?)))
+                }
+                fig2_delta(&m, ctx.fidelity, point_seed(Self::NAME, 2))?
             }
-            4..=7 => {
-                let mut m = base.clone();
-                m.network.nic_dma_weight = NIC_WEIGHTS[point.index - 4];
-                Ok(Box::new(Scalar(bandwidth_retained(
-                    &m,
-                    ctx.fidelity,
-                    ctx.seed,
-                )?)))
+            Ablation::NicWeight(w) => {
+                m.network.nic_dma_weight = w;
+                bandwidth_retained(&m, ctx.fidelity, ctx.seed)?
             }
-            _ => Ok(Box::new(registration_effect(&base))),
-        }
+            Ablation::Registration => return Ok(registration_effect(&m)),
+        };
+        Ok(vec![value])
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<Scalar>() {
-            e.u8(0).f64(p.0);
-        } else if let Some(p) = value.downcast_ref::<Registration>() {
-            e.u8(1).f64(p.0).f64(p.1);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = Scalar(d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = Registration(d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
-        }
-    }
-
-    fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let scalar = |i: usize| expect_value::<Scalar>(points, i).0;
-        let infl_on = scalar(0);
-        let infl_off = scalar(1);
-        let delta_with = scalar(2);
-        let delta_without = scalar(3);
-        let retained: Vec<f64> = (4..8).map(scalar).collect();
-        let Registration(first_us, cached_us) = *expect_value::<Registration>(points, 8);
+    fn figures(&self, _fidelity: Fidelity, values: Values<'_, Vec<f64>>) -> Vec<FigureData> {
+        // In sweep order.
+        let mut values = values.iter();
+        let mut next = || values.next().expect("every ablation measured");
+        let infl_on = next()[0];
+        let infl_off = next()[0];
+        let delta_with = next()[0];
+        let delta_without = next()[0];
+        let retained: Vec<f64> = NIC_WEIGHTS.iter().map(|_| next()[0]).collect();
+        let registration = next();
+        let (first_us, cached_us) = (registration[0], registration[1]);
 
         let mut s_weight = Series::new("bandwidth retained vs NIC DMA weight");
         for (i, w) in NIC_WEIGHTS.iter().enumerate() {
@@ -274,20 +240,16 @@ impl Experiment for Ablations {
     }
 }
 
-/// Run all ablations.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Ablations, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn ablations_quick_pass_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&Ablations, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -32,8 +32,7 @@ use topology::fabric::FabricPreset;
 use topology::{henri, tiny2x2, BindingPolicy, MachineSpec, Placement};
 
 use super::Fidelity;
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::report::{Check, FigureData};
 
 /// Simulated-time window of the STREAM-alone baseline measurement (400 µs
@@ -133,7 +132,7 @@ impl Alg {
 }
 
 /// One sweep configuration.
-struct Cfg {
+pub(crate) struct Cfg {
     scale: Scale,
     fabric: FabricPreset,
     alg: Alg,
@@ -141,7 +140,7 @@ struct Cfg {
 }
 
 /// Enumerate the sweep. Configurations come in (bg = 0, bg = max) pairs so
-/// `finalize` can read slowdown ratios off adjacent indices. `Quick` keeps
+/// `figures` can read slowdown ratios off adjacent points. `Quick` keeps
 /// one algorithm per scale on the switch fabric — still covering both the
 /// 8-rank rendezvous and the 64-rank routed case the acceptance criteria
 /// require.
@@ -224,15 +223,10 @@ fn stop_background(cluster: &mut Cluster, jobs: Vec<(usize, memsim::exec::JobId)
     }
 }
 
-/// One contention point: collective time (µs) and the STREAM bandwidth
-/// attained beside it (0 when `bg == 0`).
-struct CollPoint {
-    coll_us: f64,
-    stream_bw: f64,
-    stream_alone_bw: f64,
-}
-
-fn measure(ctx: &PointCtx<'_>, cfg: &Cfg) -> Result<CollPoint, String> {
+/// One contention point: collective time (µs), the STREAM bandwidth
+/// attained beside it and the STREAM-alone bandwidth (both 0 when
+/// `bg == 0`).
+fn measure(ctx: &PointCtx<'_>, cfg: &Cfg) -> Result<(f64, f64, f64), String> {
     // STREAM-alone baseline: fabric-independent (no communication runs),
     // so it is memoized once per (scale, core count) and shared by every
     // preset and algorithm of the sweep.
@@ -260,115 +254,83 @@ fn measure(ctx: &PointCtx<'_>, cfg: &Cfg) -> Result<CollPoint, String> {
     let schedule = cfg.alg.schedule(cfg.scale);
     let elapsed = collective::run(&mut c, &schedule, 100, 0x7000).map_err(|e| e.to_string())?;
     let stream_bw = stop_background(&mut c, jobs);
-    Ok(CollPoint {
-        coll_us: elapsed.as_secs_f64() * 1e6,
-        stream_bw,
-        stream_alone_bw,
-    })
+    Ok((elapsed.as_secs_f64() * 1e6, stream_bw, stream_alone_bw))
 }
 
 /// Registry driver for the collective × memory-contention sweep.
-pub struct CollectiveContention;
+pub(crate) struct CollectiveContention;
 
-impl Experiment for CollectiveContention {
-    fn name(&self) -> &'static str {
-        "collective_contention"
-    }
+impl Sweep for CollectiveContention {
+    const NAME: &'static str = "collective_contention";
+    const ANCHOR: &'static str = "N-rank extension of §4 (collectives vs memory contention)";
+    type Point = Cfg;
+    /// [`measure`]'s (collective µs, STREAM beside, STREAM alone).
+    type Value = (f64, f64, f64);
 
-    fn anchor(&self) -> &'static str {
-        "N-rank extension of §4 (collectives vs memory contention)"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Cfg)> {
         configs(fidelity)
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                SweepPoint::new(
-                    i,
-                    format!(
-                        "{} on {}, {} ({}), {} bg core(s)",
-                        c.alg.label(),
-                        c.fabric.name(),
-                        c.scale.tag(),
-                        c.scale.ranks(),
-                        c.bg
-                    ),
-                )
+            .into_iter()
+            .map(|c| {
+                let label = format!(
+                    "{} on {}, {} ({}), {} bg core(s)",
+                    c.alg.label(),
+                    c.fabric.name(),
+                    c.scale.tag(),
+                    c.scale.ranks(),
+                    c.bg
+                );
+                (label, c)
             })
             .collect()
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let cfgs = configs(ctx.fidelity);
-        let cfg = &cfgs[point.index];
-        Ok(Box::new(measure(ctx, cfg)?))
+    fn measure(&self, cfg: &Cfg, ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
+        measure(ctx, cfg)
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<CollPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.coll_us).f64(p.stream_bw).f64(p.stream_alone_bw);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = CollPoint {
-            coll_us: d.f64()?,
-            stream_bw: d.f64()?,
-            stream_alone_bw: d.f64()?,
-        };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let cfgs = configs(fidelity);
+        let points: Vec<(&Cfg, &(f64, f64, f64))> = cfgs.iter().zip(values.iter()).collect();
         let mut series = Vec::new();
-        // (cfg index of the contended point, collective slowdown ratio).
-        let mut ratios: Vec<(usize, f64)> = Vec::new();
-        for (k, pair) in cfgs.chunks(2).enumerate() {
-            let alone = expect_value::<CollPoint>(points, 2 * k);
-            let contended = expect_value::<CollPoint>(points, 2 * k + 1);
-            let c = &pair[0];
+        // (contended config, collective slowdown ratio, STREAM beside/alone).
+        let mut ratios = Vec::new();
+        for pair in points.chunks(2) {
+            let (c, &(alone_us, _, _)) = pair[0];
+            let (contended, &(contended_us, stream_bw, stream_alone_bw)) = pair[1];
             let mut s = Series::new(format!(
                 "{}, {} ({})",
                 c.alg.label(),
                 c.fabric.name(),
                 c.scale.tag()
             ));
-            s.push(0.0, &[alone.coll_us]);
-            s.push(pair[1].bg as f64, &[contended.coll_us]);
+            s.push(0.0, &[alone_us]);
+            s.push(contended.bg as f64, &[contended_us]);
             series.push(s);
-            ratios.push((2 * k + 1, contended.coll_us / alone.coll_us));
+            ratios.push((
+                contended,
+                contended_us / alone_us,
+                stream_bw / stream_alone_bw,
+            ));
         }
 
         let find = |scale: Scale, alg: Alg| {
             ratios
                 .iter()
-                .find(|(i, _)| {
-                    let c = &cfgs[*i];
+                .find(|(c, _, _)| {
                     c.scale == scale && c.alg == alg && c.fabric == FabricPreset::Switch
                 })
-                .map(|&(_, r)| r)
+                .map(|&(_, r, _)| r)
                 .expect("switch-fabric config present at every fidelity")
         };
         let henri_ring = find(Scale::Henri8, Alg::Ring);
         let tiny_tree = find(Scale::Tiny64, Alg::Tree);
-        let worst_speedup = ratios.iter().map(|&(_, r)| r).fold(f64::MAX, f64::min);
+        let worst_speedup = ratios.iter().map(|&(_, r, _)| r).fold(f64::MAX, f64::min);
         // STREAM degradation beside the collectives (contended points only).
-        let stream_worst = ratios
-            .iter()
-            .map(|&(i, _)| {
-                let p = expect_value::<CollPoint>(points, i);
-                p.stream_bw / p.stream_alone_bw
-            })
-            .fold(0.0f64, f64::max);
+        let stream_worst = ratios.iter().map(|&(_, _, s)| s).fold(0.0f64, f64::max);
         let henri_pt = ratios
             .iter()
-            .map(|&(i, _)| (&cfgs[i], expect_value::<CollPoint>(points, i)))
-            .find(|(c, _)| c.scale == Scale::Henri8 && c.alg == Alg::Ring)
-            .map(|(_, p)| p.stream_bw / p.stream_alone_bw)
+            .find(|(c, _, _)| c.scale == Scale::Henri8 && c.alg == Alg::Ring)
+            .map(|&(_, _, s)| s)
             .expect("henri ring config present");
 
         let checks = vec![
@@ -420,16 +382,10 @@ impl Experiment for CollectiveContention {
     }
 }
 
-/// Run the collective-contention study.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CollectiveContention, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn configs_pair_alone_with_contended() {
@@ -453,7 +409,12 @@ mod tests {
 
     #[test]
     fn collective_contention_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(
+            &CollectiveContention,
+            &CampaignOptions::serial(Fidelity::Quick),
+        )
+        .figures
+        .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -25,8 +25,7 @@ use topology::fabric::FabricPreset;
 use topology::{henri, BindingPolicy, Placement};
 
 use super::Fidelity;
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::report::{Check, FigureData};
 
 /// Rank count (matches the simcheck collective oracles).
@@ -72,66 +71,43 @@ fn measure(freq_ghz: f64, alg: usize) -> Result<f64, String> {
     Ok(elapsed.as_secs_f64() * 1e6)
 }
 
-/// One point: completion time in µs.
-struct DvfsPoint(f64);
-
 /// Registry driver for the collective × DVFS sweep.
-pub struct CollectiveDvfs;
+pub(crate) struct CollectiveDvfs;
 
-impl Experiment for CollectiveDvfs {
-    fn name(&self) -> &'static str {
-        "collective_dvfs"
-    }
+impl Sweep for CollectiveDvfs {
+    const NAME: &'static str = "collective_dvfs";
+    const ANCHOR: &'static str =
+        "N-rank extension of §3.1/Figure 1 (collectives vs core frequency)";
+    /// (schedule: index into [`ALGS`], core frequency GHz).
+    type Point = (usize, f64);
+    /// Completion time (µs).
+    type Value = f64;
 
-    fn anchor(&self) -> &'static str {
-        "N-rank extension of §3.1/Figure 1 (collectives vs core frequency)"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let freqs = freqs(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, (usize, f64))> {
         let mut plan = Vec::new();
-        for (ai, alg) in ALGS.iter().enumerate() {
-            for (fi, f) in freqs.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    ai * freqs.len() + fi,
-                    format!("{} @ {} GHz", alg, f),
-                ));
+        for (alg, name) in ALGS.iter().enumerate() {
+            for f in freqs(fidelity) {
+                plan.push((format!("{} @ {} GHz", name, f), (alg, f)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let freqs = freqs(ctx.fidelity);
-        let alg = point.index / freqs.len();
-        let f = freqs[point.index % freqs.len()];
-        Ok(Box::new(DvfsPoint(measure(f, alg)?)))
+    fn measure(&self, &(alg, f): &(usize, f64), _ctx: &PointCtx<'_>) -> Result<f64, String> {
+        measure(f, alg)
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<DvfsPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.0);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = DvfsPoint(d.f64()?);
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, f64>) -> Vec<FigureData> {
         let freqs = freqs(fidelity);
+        let mut values = values.iter();
         let mut series = Vec::new();
         // times[alg][freq index]
         let mut times = [Vec::new(), Vec::new()];
-        for (ai, alg) in ALGS.iter().enumerate() {
-            let mut s = Series::new(*alg);
-            for (fi, &f) in freqs.iter().enumerate() {
-                let t = expect_value::<DvfsPoint>(points, ai * freqs.len() + fi).0;
+        for (name, times) in ALGS.iter().zip(&mut times) {
+            let mut s = Series::new(*name);
+            for (&f, &t) in freqs.iter().zip(values.by_ref()) {
                 s.push(f, &[t]);
-                times[ai].push(t);
+                times.push(t);
             }
             series.push(s);
         }
@@ -186,20 +162,16 @@ impl Experiment for CollectiveDvfs {
     }
 }
 
-/// Run the collective-DVFS study.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CollectiveDvfs, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn collective_dvfs_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&CollectiveDvfs, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -17,10 +17,10 @@
 
 use kernels::stream::{workload, StreamKernel};
 use mpisim::pingpong::PingPongConfig;
-use topology::{BindingPolicy, MachineSpec, Placement};
+use topology::{henri, BindingPolicy, MachineSpec, Placement};
 
-use crate::campaign::PointCtx;
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Values};
+use crate::codec::{Codec, Dec, Enc};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig, RepMetrics, StepMask, StepResults};
 
@@ -32,6 +32,11 @@ pub fn core_sweep(max: usize) -> Vec<usize> {
     let mut v: Vec<usize> = vec![1, 2, 3, 5, 7, 9, 12, 15, 18, 21, 24, 27, 30, 33, 35];
     v.retain(|&c| c <= max);
     v
+}
+
+/// The computing-core counts every henri contention sweep visits.
+fn henri_cores(fidelity: Fidelity) -> Vec<usize> {
+    fidelity.thin(&core_sweep(henri().core_count() as usize - 1))
 }
 
 /// The network metric a contention sweep measures.
@@ -78,7 +83,7 @@ impl Metric {
 
 /// Per-rep measurements of one contention point.
 #[derive(Clone, Debug)]
-pub struct ContentionPoint {
+pub(crate) struct ContentionPoint {
     /// Network metric alone (latency µs or bandwidth B/s), one per rep.
     pub comm_alone: Vec<f64>,
     /// Network metric beside STREAM.
@@ -89,28 +94,102 @@ pub struct ContentionPoint {
     pub stream_together: Vec<f64>,
 }
 
-impl ContentionPoint {
-    /// Exact-bits serialization for the result store (see [`crate::codec`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+impl Codec for ContentionPoint {
+    fn encode(&self, e: &mut Enc) {
         e.f64s(&self.comm_alone)
             .f64s(&self.comm_together)
             .f64s(&self.stream_alone)
             .f64s(&self.stream_together);
-        e.into_bytes()
     }
 
-    /// Inverse of [`ContentionPoint::encode`]; `None` on any malformation.
-    pub fn decode(bytes: &[u8]) -> Option<ContentionPoint> {
-        let mut d = Dec::new(bytes);
-        let p = ContentionPoint {
+    fn decode(d: &mut Dec<'_>) -> Option<ContentionPoint> {
+        Some(ContentionPoint {
             comm_alone: d.f64s()?,
             comm_together: d.f64s()?,
             stream_alone: d.f64s()?,
             stream_together: d.f64s()?,
-        };
-        d.finish(p)
+        })
     }
+}
+
+/// The coordinates of one contention point on henri.
+pub(crate) struct PlacementPoint {
+    /// Table 1 row label of the placement (part of the cache key).
+    label: &'static str,
+    placement: Placement,
+    metric: Metric,
+    cores: usize,
+}
+
+/// Every (metric, core count) of each placement, placement-major. With
+/// `named`, labels start with the placement's Table 1 row label.
+fn sweep(
+    fidelity: Fidelity,
+    placements: &[(&'static str, Placement)],
+    named: bool,
+) -> Vec<(String, PlacementPoint)> {
+    let mut out = Vec::new();
+    for &(label, placement) in placements {
+        for metric in [Metric::Latency, Metric::Bandwidth] {
+            for cores in henri_cores(fidelity) {
+                let at = format!("{} @ {} cores", metric.tag(), cores);
+                let name = if named {
+                    format!("{}, {}", label, at)
+                } else {
+                    at
+                };
+                let point = PlacementPoint {
+                    label,
+                    placement,
+                    metric,
+                    cores,
+                };
+                out.push((name, point));
+            }
+        }
+    }
+    out
+}
+
+/// Figure 4's placement: data near the NIC, communication thread far —
+/// the second Table 1 row, so the cache shares its points with Figure 5
+/// and Table 1.
+const FIG4_PLACEMENT: &str = "data near, thread far";
+
+/// Figure 4's sweep: {latency, bandwidth} × core counts at
+/// [`FIG4_PLACEMENT`].
+pub(crate) fn fig4_sweep(fidelity: Fidelity) -> Vec<(String, PlacementPoint)> {
+    sweep(
+        fidelity,
+        &[(FIG4_PLACEMENT, Placement::fig4_default())],
+        false,
+    )
+}
+
+/// The sweep Figure 5 and Table 1 share: every Table 1 placement ×
+/// {latency, bandwidth} × core counts.
+pub(crate) fn placement_sweep(fidelity: Fidelity) -> Vec<(String, PlacementPoint)> {
+    sweep(fidelity, &Placement::all_combinations(), true)
+}
+
+/// The latency and bandwidth curves of each placement of a sweep built
+/// here, in sweep order.
+pub(crate) fn curves(
+    fidelity: Fidelity,
+    values: Values<'_, ContentionPoint>,
+) -> Vec<(ContentionSeries, ContentionSeries)> {
+    let cores = henri_cores(fidelity);
+    let points: Vec<&ContentionPoint> = values.iter().collect();
+    points
+        .chunks(2 * cores.len())
+        .map(|p| {
+            let (lat, bw) = p.split_at(cores.len());
+            (
+                series_for(Metric::Latency, &cores, lat),
+                series_for(Metric::Bandwidth, &cores, bw),
+            )
+        })
+        .collect()
 }
 
 /// The STREAM NUMA node implied by a placement's data policy.
@@ -142,16 +221,16 @@ fn base_config(
 
 /// Measure (or fetch from the campaign cache) one contention point. The
 /// point's value derives only from its cache key, so every experiment
-/// requesting the same (machine, placement, metric, cores) gets the
-/// identical measurement — serial or parallel.
-pub fn measure(
-    ctx: &PointCtx<'_>,
-    machine: &MachineSpec,
-    placement_label: &str,
-    placement: Placement,
-    metric: Metric,
-    cores: usize,
-) -> Result<ContentionPoint, String> {
+/// requesting the same (placement, metric, cores) gets the identical
+/// measurement — serial or parallel.
+pub(crate) fn measure(ctx: &PointCtx<'_>, p: &PlacementPoint) -> Result<ContentionPoint, String> {
+    let machine = &henri();
+    let PlacementPoint {
+        label: placement_label,
+        placement,
+        metric,
+        cores,
+    } = *p;
     let fidelity = ctx.fidelity;
     let point_key = format!(
         "contention/{}/{}/{}/{}",
@@ -201,7 +280,7 @@ pub fn measure(
 }
 
 /// The four series of one contention plot, named as in Figures 4/5.
-pub struct ContentionSeries {
+pub(crate) struct ContentionSeries {
     /// Network metric alone (latency µs or bandwidth B/s).
     pub comm_alone: simcore::Series,
     /// Network metric beside STREAM.
@@ -214,11 +293,7 @@ pub struct ContentionSeries {
 
 /// Assemble the four figure series of one metric from per-core-count
 /// contention points (in sweep order).
-pub fn series_for(
-    metric: Metric,
-    cores: &[usize],
-    points: &[&ContentionPoint],
-) -> ContentionSeries {
+fn series_for(metric: Metric, cores: &[usize], points: &[&ContentionPoint]) -> ContentionSeries {
     let latency = metric == Metric::Latency;
     let mut out = ContentionSeries {
         comm_alone: simcore::Series::new(if latency {
@@ -259,6 +334,15 @@ mod tests {
         // the cache can share its points with Figure 5 and Table 1.
         let combos = Placement::all_combinations();
         assert_eq!(combos[1].1, Placement::fig4_default());
-        assert_eq!(combos[1].0, "data near, thread far");
+        assert_eq!(combos[1].0, FIG4_PLACEMENT);
+        // Same cache keys: every Figure 4 point is a Figure 5 point.
+        let key = |p: &PlacementPoint| (p.label, p.placement, p.metric, p.cores);
+        let fig5: Vec<_> = placement_sweep(Fidelity::Quick)
+            .iter()
+            .map(|(_, p)| key(p))
+            .collect();
+        for (_, p) in fig4_sweep(Fidelity::Quick) {
+            assert!(fig5.contains(&key(&p)));
+        }
     }
 }

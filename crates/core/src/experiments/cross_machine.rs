@@ -15,8 +15,8 @@ use mpisim::pingpong::PingPongConfig;
 use simcore::Series;
 use topology::{MachineSpec, Placement, Preset};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
+use crate::codec::Either;
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -26,19 +26,12 @@ const BILLY_AIS: [f64; 2] = [20.0, 70.0];
 
 /// Bandwidth-contention summary for one machine: (alone median, together
 /// median, relative run-to-run band).
-#[derive(Clone, Copy)]
-struct MachinePoint(f64, f64, f64);
-
-/// Tunable-intensity recovery ratio (together/alone bandwidth) at one AI.
-#[derive(Clone, Copy)]
-struct RatioPoint(f64);
-
 fn contention_point(
     machine: &MachineSpec,
     cores: usize,
     fidelity: Fidelity,
     seed: u64,
-) -> Result<MachinePoint, String> {
+) -> Result<(f64, f64, f64), String> {
     let data = machine.near_numa();
     let w = workload(StreamKernel::Triad, 2_000_000, data, 1);
     let mut cfg = ProtocolConfig::new(machine.clone(), Some(w));
@@ -55,15 +48,16 @@ fn contention_point(
     let r = protocol::try_run(&cfg).map_err(|e| e.to_string())?;
     let alone = simcore::Summary::of(&r.bw_alone());
     let tog = simcore::Summary::of(&r.bw_together());
-    Ok(MachinePoint(alone.median, tog.median, alone.band_rel()))
+    Ok((alone.median, tog.median, alone.band_rel()))
 }
 
+/// Tunable-intensity recovery ratio (together/alone bandwidth) at one AI.
 fn intensity_ratio(
     machine: &MachineSpec,
     ai: f64,
     fidelity: Fidelity,
     seed: u64,
-) -> Result<RatioPoint, String> {
+) -> Result<f64, String> {
     let cursor = tunable::cursor_for_intensity(ai);
     let w = tunable::workload(1_000_000, cursor, machine.near_numa(), 1);
     let cores = machine.core_count() as usize - 1;
@@ -79,91 +73,67 @@ fn intensity_ratio(
     cfg.reps = fidelity.reps();
     cfg.seed = seed;
     let r = protocol::try_run(&cfg).map_err(|e| e.to_string())?;
-    Ok(RatioPoint(
-        simcore::Summary::of(&r.bw_together()).median / simcore::Summary::of(&r.bw_alone()).median,
-    ))
+    Ok(simcore::Summary::of(&r.bw_together()).median / simcore::Summary::of(&r.bw_alone()).median)
+}
+
+/// One point of the cross-machine plan.
+pub(crate) enum CrossPoint {
+    /// Bandwidth contention at full occupancy on one cluster.
+    Contention(Preset),
+    /// billy's bandwidth recovery at one arithmetic intensity (flop/B).
+    BillyIntensity(f64),
 }
 
 /// Registry driver for the cross-machine validation (4 cluster contention
 /// points + 2 billy intensity points).
-pub struct CrossMachine;
+pub(crate) struct CrossMachine;
 
-impl Experiment for CrossMachine {
-    fn name(&self) -> &'static str {
-        "cross_machine"
-    }
+impl Sweep for CrossMachine {
+    const NAME: &'static str = "cross_machine";
+    const ANCHOR: &'static str = "§2.2/§4.2/§4.5 cross-cluster notes";
+    type Point = CrossPoint;
+    /// [`contention_point`] or [`intensity_ratio`].
+    type Value = Either<(f64, f64, f64), f64>;
 
-    fn anchor(&self) -> &'static str {
-        "§2.2/§4.2/§4.5 cross-cluster notes"
-    }
-
-    fn plan(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
-        let mut plan: Vec<SweepPoint> = Preset::clusters()
-            .iter()
-            .enumerate()
-            .map(|(i, preset)| SweepPoint::new(i, format!("contention on {}", preset.spec().name)))
+    fn sweep(&self, _fidelity: Fidelity) -> Vec<(String, CrossPoint)> {
+        let mut plan: Vec<(String, CrossPoint)> = Preset::clusters()
+            .into_iter()
+            .map(|preset| {
+                let label = format!("contention on {}", preset.spec().name);
+                (label, CrossPoint::Contention(preset))
+            })
             .collect();
-        for (i, &ai) in BILLY_AIS.iter().enumerate() {
-            plan.push(SweepPoint::new(
-                Preset::clusters().len() + i,
-                format!("billy intensity {} flop/B", ai),
-            ));
+        for ai in BILLY_AIS {
+            let label = format!("billy intensity {} flop/B", ai);
+            plan.push((label, CrossPoint::BillyIntensity(ai)));
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let clusters = Preset::clusters();
-        if point.index < clusters.len() {
-            let m = clusters[point.index].spec();
-            let cores = m.core_count() as usize - 1;
-            let p = contention_point(&m, cores, ctx.fidelity, ctx.seed)?;
-            Ok(Box::new(p))
-        } else {
-            let ai = BILLY_AIS[point.index - clusters.len()];
-            let billy = Preset::Billy.spec();
-            let p = intensity_ratio(&billy, ai, ctx.fidelity, ctx.seed)?;
-            Ok(Box::new(p))
-        }
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<MachinePoint>() {
-            e.u8(0).f64(p.0).f64(p.1).f64(p.2);
-        } else if let Some(p) = value.downcast_ref::<RatioPoint>() {
-            e.u8(1).f64(p.0);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = MachinePoint(d.f64()?, d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
+    fn measure(&self, point: &CrossPoint, ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
+        match *point {
+            CrossPoint::Contention(preset) => {
+                let m = preset.spec();
+                let cores = m.core_count() as usize - 1;
+                contention_point(&m, cores, ctx.fidelity, ctx.seed).map(Either::Left)
             }
-            1 => {
-                let p = RatioPoint(d.f64()?);
-                d.finish(Box::new(p) as PointValue)
+            CrossPoint::BillyIntensity(ai) => {
+                intensity_ratio(&Preset::Billy.spec(), ai, ctx.fidelity, ctx.seed)
+                    .map(Either::Right)
             }
-            _ => None,
         }
     }
 
-    fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let clusters = Preset::clusters();
+    fn figures(&self, _fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
+        let mut values = values.iter();
         let mut s_loss = Series::new("bandwidth loss at full occupancy (%)");
         let mut s_band = Series::new("run-to-run bandwidth band (d9-d1)/median (%)");
         let mut notes = Vec::new();
         let mut machines = Vec::new();
-        for (i, preset) in clusters.iter().enumerate() {
+        for ((i, preset), v) in Preset::clusters().iter().enumerate().zip(values.by_ref()) {
             let m = preset.spec();
             let cores = m.core_count() as usize - 1;
-            let MachinePoint(alone, tog, band) = *expect_value::<MachinePoint>(points, i);
+            let &(alone, tog, band) = v.unwrap_left();
             let loss = (1.0 - tog / alone) * 100.0;
             s_loss.push(i as f64, &[loss]);
             s_band.push(i as f64, &[band * 100.0]);
@@ -181,8 +151,8 @@ impl Experiment for CrossMachine {
 
         // billy's intensity boundary (paper: recovered only above ~70
         // flop/B, still impacted at 20).
-        let RatioPoint(at20) = *expect_value::<RatioPoint>(points, clusters.len());
-        let RatioPoint(at70) = *expect_value::<RatioPoint>(points, clusters.len() + 1);
+        let mut ratio = || *values.next().expect("two billy points").unwrap_right();
+        let (at20, at70) = (ratio(), ratio());
         notes.push(format!(
             "billy tunable intensity: together/alone = {:.2} at 20 flop/B, {:.2} at 70 flop/B",
             at20, at70
@@ -234,20 +204,16 @@ impl Experiment for CrossMachine {
     }
 }
 
-/// Run the cross-machine validation.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&CrossMachine, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn cross_machine_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&CrossMachine, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -21,11 +21,11 @@ use simcore::{FaultPlan, JitterFamily, Series, SimTime, Summary};
 use topology::henri;
 
 use super::Fidelity;
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
+use crate::codec::Either;
 use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData, RunOutcome};
-use crate::runner::{self, RunStatus};
+use crate::runner;
 
 /// Rendezvous-sized message: far above henri's 64 KiB eager threshold, so
 /// every send performs the RTS/CTS handshake the faults target.
@@ -89,204 +89,113 @@ fn run_rep(
     Ok(out)
 }
 
-/// Inner-campaign result of one drop-probability sweep point.
-struct SweepOut {
-    lats: Vec<f64>,
-    rets: Vec<f64>,
-    failures: usize,
-}
-
-/// Inner-campaign result of the crash/black-out demo point.
-struct DemoOut {
-    lats: Vec<f64>,
-    recovered: bool,
-    crash_status: &'static str,
-    crash_attempts: u32,
-    blackout_failed: bool,
-    partial: bool,
-    runs: Vec<RunOutcome>,
-}
-
-/// Map a persisted status label back to the `&'static str` the runner
-/// hands out (see [`RunStatus::label`]); unknown labels mean a stale or
-/// corrupt entry.
-fn intern_status(s: &str) -> Option<&'static str> {
-    ["ok", "recovered", "failed", "timeout"]
-        .into_iter()
-        .find(|l| *l == s)
+/// One point of the faulted ping-pong plan.
+pub(crate) enum FaultPoint {
+    /// Every rep under one CTS drop probability.
+    CtsDrop(f64),
+    /// The crash/black-out demo.
+    Demo,
 }
 
 /// Registry driver for the faulted ping-pong (3 drop-probability sweep
 /// points plus the crash/black-out demo point).
-pub struct FaultedPingpong;
+pub(crate) struct FaultedPingpong;
 
-impl Experiment for FaultedPingpong {
-    fn name(&self) -> &'static str {
-        "faulted_pingpong"
-    }
+impl Sweep for FaultedPingpong {
+    const NAME: &'static str = "faulted_pingpong";
+    const ANCHOR: &'static str = "robustness extension (fault injection)";
+    type Point = FaultPoint;
+    /// A drop probability: the surviving reps' latencies (µs) and retry
+    /// counts, and how many reps failed. The demo: the surviving reps'
+    /// latencies, the crashing rep's attempts, and every rep's outcome
+    /// with its retry work.
+    type Value = Either<(Vec<f64>, Vec<f64>, usize), (Vec<f64>, usize, Vec<RunOutcome>)>;
 
-    fn anchor(&self) -> &'static str {
-        "robustness extension (fault injection)"
-    }
-
-    fn plan(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
-        let mut plan: Vec<SweepPoint> = PROBS
+    fn sweep(&self, _fidelity: Fidelity) -> Vec<(String, FaultPoint)> {
+        let mut plan: Vec<(String, FaultPoint)> = PROBS
             .iter()
-            .enumerate()
-            .map(|(i, p)| SweepPoint::new(i, format!("CTS drop p = {}", p)))
+            .map(|&p| (format!("CTS drop p = {}", p), FaultPoint::CtsDrop(p)))
             .collect();
-        plan.push(SweepPoint::new(PROBS.len(), "crash/black-out demo"));
+        plan.push(("crash/black-out demo".to_string(), FaultPoint::Demo));
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
+    fn measure(&self, point: &FaultPoint, ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
         let pp = pingpong_cfg(ctx.fidelity);
         let reps = ctx.fidelity.reps().max(4);
-        if point.index < PROBS.len() {
-            let p = PROBS[point.index];
+        if let FaultPoint::CtsDrop(p) = *point {
             let base = FaultPlan::new(ctx.seed).with_cts_drop(p);
             let inner = runner::run_campaign(reps, ctx.seed, |rep, seed| {
                 let plan = FaultPlan { seed, ..base.clone() };
                 run_rep(pp, &plan, seed, rep as u64)
             })
             .unless_timed_out()?;
-            Ok(Box::new(SweepOut {
-                lats: inner.values.iter().map(|(_, v)| v.lat_us).collect(),
-                rets: inner.values.iter().map(|(_, v)| v.retries as f64).collect(),
-                failures: inner.failed(),
-            }))
-        } else {
-            let demo_plan = FaultPlan::new(ctx.seed).with_cts_drop(0.25);
-            let blackout_plan = FaultPlan::new(ctx.seed).with_cts_drop(1.0);
-            let mut crash_attempts = 0u32;
-            let demo = runner::run_campaign(reps, ctx.seed, |rep, seed| {
-                if rep == CRASH_REP {
-                    crash_attempts += 1;
-                    if crash_attempts == 1 {
-                        panic!("injected crash: first attempt of rep {}", rep);
-                    }
+            return Ok(Either::Left((
+                inner.values.iter().map(|(_, v)| v.lat_us).collect(),
+                inner.values.iter().map(|(_, v)| v.retries as f64).collect(),
+                inner.failed(),
+            )));
+        }
+        let demo_plan = FaultPlan::new(ctx.seed).with_cts_drop(0.25);
+        let blackout_plan = FaultPlan::new(ctx.seed).with_cts_drop(1.0);
+        let mut crash_attempts = 0usize;
+        let demo = runner::run_campaign(reps, ctx.seed, |rep, seed| {
+            if rep == CRASH_REP {
+                crash_attempts += 1;
+                if crash_attempts == 1 {
+                    panic!("injected crash: first attempt of rep {}", rep);
                 }
-                let base = if rep == BLACKOUT_REP { &blackout_plan } else { &demo_plan };
-                let plan = FaultPlan { seed, ..base.clone() };
-                run_rep(pp, &plan, seed, rep as u64)
-            })
-            .unless_timed_out()?;
-
-            // Enrich the per-rep outcomes with the retry work of the reps
-            // that produced data.
-            let mut runs = demo.outcomes();
-            for (rep, v) in &demo.values {
-                let r = &mut runs[*rep as usize];
-                r.retries = v.retries;
-                r.retrans_bytes = v.retrans_bytes;
-                r.retry_wait_s = v.retry_wait_s;
             }
-            Ok(Box::new(DemoOut {
-                lats: demo.values.iter().map(|(_, v)| v.lat_us).collect(),
-                recovered: matches!(
-                    demo.records[CRASH_REP as usize].status,
-                    RunStatus::Recovered { .. }
-                ),
-                crash_status: demo.records[CRASH_REP as usize].status.label(),
-                crash_attempts,
-                blackout_failed: matches!(
-                    demo.records[BLACKOUT_REP as usize].status,
-                    RunStatus::Failed { .. }
-                ),
-                partial: demo.is_partial(),
-                runs,
-            }))
+            let base = if rep == BLACKOUT_REP {
+                &blackout_plan
+            } else {
+                &demo_plan
+            };
+            let plan = FaultPlan {
+                seed,
+                ..base.clone()
+            };
+            run_rep(pp, &plan, seed, rep as u64)
+        })
+        .unless_timed_out()?;
+
+        // Enrich the per-rep outcomes with the retry work of the reps
+        // that produced data.
+        let mut runs = demo.outcomes();
+        for (rep, v) in &demo.values {
+            let r = &mut runs[*rep as usize];
+            r.retries = v.retries;
+            r.retrans_bytes = v.retrans_bytes;
+            r.retry_wait_s = v.retry_wait_s;
         }
+        let lats = demo.values.iter().map(|(_, v)| v.lat_us).collect();
+        Ok(Either::Right((lats, crash_attempts, runs)))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<SweepOut>() {
-            e.u8(0).f64s(&p.lats).f64s(&p.rets).usize(p.failures);
-        } else if let Some(p) = value.downcast_ref::<DemoOut>() {
-            e.u8(1)
-                .f64s(&p.lats)
-                .bool(p.recovered)
-                .str(p.crash_status)
-                .u32(p.crash_attempts)
-                .bool(p.blackout_failed)
-                .bool(p.partial)
-                .usize(p.runs.len());
-            for r in &p.runs {
-                e.u32(r.rep)
-                    .u64(r.seed)
-                    .str(r.status)
-                    .opt_str(&r.error)
-                    .u64(r.retries)
-                    .u64(r.retrans_bytes)
-                    .f64(r.retry_wait_s);
-            }
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = SweepOut { lats: d.f64s()?, rets: d.f64s()?, failures: d.usize()? };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let lats = d.f64s()?;
-                let recovered = d.bool()?;
-                let crash_status = intern_status(&d.str()?)?;
-                let crash_attempts = d.u32()?;
-                let blackout_failed = d.bool()?;
-                let partial = d.bool()?;
-                let n = d.usize()?;
-                let mut runs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    runs.push(RunOutcome {
-                        rep: d.u32()?,
-                        seed: d.u64()?,
-                        status: intern_status(&d.str()?)?,
-                        error: d.opt_str()?,
-                        retries: d.u64()?,
-                        retrans_bytes: d.u64()?,
-                        retry_wait_s: d.f64()?,
-                    });
-                }
-                let p = DemoOut {
-                    lats,
-                    recovered,
-                    crash_status,
-                    crash_attempts,
-                    blackout_failed,
-                    partial,
-                    runs,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
-        }
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let reps = fidelity.reps().max(4);
         let mut lat = Series::new("latency");
         let mut retries_series = Series::new("retries per rep");
         let mut sweep_failures = 0usize;
         let mut retries_at = Vec::new();
         let mut lat_at = Vec::new();
-        for (pi, &p) in PROBS.iter().enumerate() {
-            let sweep = expect_value::<SweepOut>(points, pi);
-            sweep_failures += sweep.failures;
-            lat.push(p, &sweep.lats);
-            retries_series.push(p, &sweep.rets);
-            lat_at.push(Summary::of(&sweep.lats).median);
-            retries_at.push(Summary::of(&sweep.rets).median);
+        let mut values = values.iter();
+        for (&p, v) in PROBS.iter().zip(values.by_ref()) {
+            let (lats, rets, failures) = v.unwrap_left();
+            sweep_failures += failures;
+            lat.push(p, lats);
+            retries_series.push(p, rets);
+            lat_at.push(Summary::of(lats).median);
+            retries_at.push(Summary::of(rets).median);
         }
 
-        let demo = expect_value::<DemoOut>(points, PROBS.len());
-        let bands = Summary::of(&demo.lats);
+        let (demo_lats, crash_attempts, runs) = values.next().expect("demo point").unwrap_right();
+        let crash_status = runs[CRASH_REP as usize].status;
+        let blackout_failed = runs[BLACKOUT_REP as usize].status == "failed";
+        let partial = runs
+            .iter()
+            .any(|r| matches!(r.status, "failed" | "timeout"));
+        let bands = Summary::of(demo_lats);
 
         let checks = vec![
             Check::new(
@@ -312,15 +221,15 @@ impl Experiment for FaultedPingpong {
             ),
             Check::new(
                 "crashed rep recovers on a fresh seed",
-                demo.recovered && demo.crash_attempts == 2,
+                crash_status == "recovered" && *crash_attempts == 2,
                 format!(
                     "rep {} status {:?} after {} attempt(s)",
-                    CRASH_REP, demo.crash_status, demo.crash_attempts
+                    CRASH_REP, crash_status, crash_attempts
                 ),
             ),
             Check::new(
                 "black-out rep fails cleanly, bands from survivors",
-                demo.blackout_failed && demo.partial && bands.n == (reps as usize - 1),
+                blackout_failed && partial && bands.n == (reps as usize - 1),
                 format!(
                     "{} of {} reps survived, median {:.1} µs [{:.1}, {:.1}]",
                     bands.n, reps, bands.median, bands.d1, bands.d9
@@ -348,25 +257,21 @@ impl Experiment for FaultedPingpong {
                 ),
             ],
             checks,
-            runs: demo.runs.clone(),
+            runs: runs.clone(),
         }]
     }
-}
-
-/// Run the faulted ping-pong figure.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&FaultedPingpong, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn faulted_pingpong_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&FaultedPingpong, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

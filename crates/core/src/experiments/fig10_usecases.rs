@@ -13,8 +13,7 @@ use taskrt::programs::{self, UseCaseConfig};
 use taskrt::{Runtime, RuntimeConfig};
 use topology::{henri, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::report::{Check, FigureData};
@@ -35,45 +34,30 @@ fn fresh_cluster() -> Cluster {
     )
 }
 
-/// One (kind, workers) measurement: raw send bandwidth and stall fraction.
-/// Normalization to the 1-worker baseline happens in `finalize`, where all
-/// points of the sweep are visible.
-#[derive(Clone, Copy)]
-struct UseCasePoint {
-    send_bw: f64,
-    stall_fraction: f64,
-}
-
 /// Registry driver for Figure 10 (sweep: {CG, GEMM} × worker counts).
-pub struct Fig10;
+pub(crate) struct Fig10;
 
-impl Experiment for Fig10 {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
+impl Sweep for Fig10 {
+    const NAME: &'static str = "fig10";
+    const ANCHOR: &'static str = "§6, Figure 10";
+    /// (kernel, workers per node).
+    type Point = (&'static str, usize);
+    /// Raw (send bandwidth B/s, memory-stall fraction). Normalization to
+    /// the 1-worker baseline happens in `figures`, where all points of the
+    /// sweep are visible.
+    type Value = (f64, f64);
 
-    fn anchor(&self) -> &'static str {
-        "§6, Figure 10"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let workers = worker_sweep(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Self::Point)> {
         let mut plan = Vec::new();
-        for (ki, kind) in KINDS.iter().enumerate() {
-            for (wi, &w) in workers.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    ki * workers.len() + wi,
-                    format!("{} @ {} workers", kind, w),
-                ));
+        for kind in KINDS {
+            for w in worker_sweep(fidelity) {
+                plan.push((format!("{} @ {} workers", kind, w), (kind, w)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let workers = worker_sweep(ctx.fidelity);
-        let kind = KINDS[point.index / workers.len()];
-        let w = workers[point.index % workers.len()];
+    fn measure(&self, &(kind, w): &Self::Point, ctx: &PointCtx<'_>) -> Result<(f64, f64), String> {
         let iters = ctx.fidelity.choose(3, 2);
         let cfg = match kind {
             "CG" => UseCaseConfig::cg(w, iters),
@@ -83,36 +67,21 @@ impl Experiment for Fig10 {
         let mut rt = Runtime::new(RuntimeConfig::for_machine(&cluster.spec));
         programs::attach_n_workers(&mut cluster, &mut rt, w);
         let res = programs::run(&mut cluster, &mut rt, cfg);
-        Ok(Box::new(UseCasePoint {
-            send_bw: res.mean_send_bw,
-            stall_fraction: res.stall_fraction,
-        }))
+        Ok((res.mean_send_bw, res.stall_fraction))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<UseCasePoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.send_bw).f64(p.stall_fraction);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = UseCasePoint { send_bw: d.f64()?, stall_fraction: d.f64()? };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, (f64, f64)>) -> Vec<FigureData> {
         let workers = worker_sweep(fidelity);
+        let mut values = values.iter();
         let mut sweeps = Vec::new();
-        for (ki, kind) in KINDS.iter().enumerate() {
+        for kind in KINDS {
             let mut bw = Series::new(format!("{} normalized send bandwidth", kind));
             let mut stalls = Series::new(format!("{} memory-stall fraction", kind));
-            let base = expect_value::<UseCasePoint>(points, ki * workers.len()).send_bw;
-            for (wi, &w) in workers.iter().enumerate() {
-                let p = expect_value::<UseCasePoint>(points, ki * workers.len() + wi);
-                bw.push(w as f64, &[p.send_bw / base]);
-                stalls.push(w as f64, &[p.stall_fraction]);
+            let points: Vec<_> = values.by_ref().take(workers.len()).collect();
+            let base = points[0].0;
+            for (&w, &&(send_bw, stall_fraction)) in workers.iter().zip(&points) {
+                bw.push(w as f64, &[send_bw / base]);
+                stalls.push(w as f64, &[stall_fraction]);
             }
             sweeps.push((bw, stalls));
         }
@@ -209,18 +178,14 @@ impl Experiment for Fig10 {
     }
 }
 
-/// Run Figure 10 (returns `[fig10-bw, fig10-stalls]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig10, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig10_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig10, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

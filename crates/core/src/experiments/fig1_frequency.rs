@@ -10,8 +10,7 @@ use mpisim::pingpong::{self, PingPongConfig};
 use simcore::{JitterFamily, Series};
 use topology::{henri, BindingPolicy, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::{size_sweep, Fidelity};
 use crate::paper;
 use crate::protocol::build_cluster;
@@ -32,42 +31,32 @@ fn sizes(fidelity: Fidelity) -> Vec<usize> {
     fidelity.thin(&size_sweep())
 }
 
-/// Per-rep latencies and bandwidths of one (config, size) point.
-struct Fig1Point {
-    lats: Vec<f64>,
-    bws: Vec<f64>,
-}
-
 /// Registry driver for Figure 1 (sweep: 4 frequency configs × sizes).
-pub struct Fig1;
+pub(crate) struct Fig1;
 
-impl Experiment for Fig1 {
-    fn name(&self) -> &'static str {
-        "fig1"
-    }
+impl Sweep for Fig1 {
+    const NAME: &'static str = "fig1";
+    const ANCHOR: &'static str = "§3.1, Figures 1a/1b";
+    /// (governor, uncore policy, message size).
+    type Point = (Governor, UncorePolicy, usize);
+    /// Per-rep (latencies µs, bandwidths B/s).
+    type Value = (Vec<f64>, Vec<f64>);
 
-    fn anchor(&self) -> &'static str {
-        "§3.1, Figures 1a/1b"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let sizes = sizes(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Self::Point)> {
         let mut plan = Vec::new();
-        for (ci, (name, _, _)) in configs().iter().enumerate() {
-            for (si, &size) in sizes.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    ci * sizes.len() + si,
-                    format!("{} @ {} B", name, size),
-                ));
+        for (name, gov, unc) in configs() {
+            for size in sizes(fidelity) {
+                plan.push((format!("{} @ {} B", name, size), (gov, unc, size)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let sizes = sizes(ctx.fidelity);
-        let (_, gov, unc) = configs()[point.index / sizes.len()];
-        let size = sizes[point.index % sizes.len()];
+    fn measure(
+        &self,
+        &(gov, unc, size): &Self::Point,
+        ctx: &PointCtx<'_>,
+    ) -> Result<Self::Value, String> {
         let machine = henri();
         let placement = Placement {
             comm_thread: BindingPolicy::NearNic,
@@ -101,33 +90,20 @@ impl Experiment for Fig1 {
             lats.push(res.median_latency_us());
             bws.push(res.median_bandwidth());
         }
-        Ok(Box::new(Fig1Point { lats, bws }))
+        Ok((lats, bws))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig1Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lats).f64s(&p.bws);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig1Point { lats: d.f64s()?, bws: d.f64s()? };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let sizes = sizes(fidelity);
+        let mut values = values.iter();
         let mut lat_series = Vec::new();
         let mut bw_series = Vec::new();
-        for (ci, (name, _, _)) in configs().iter().enumerate() {
-            let mut lat = Series::new(*name);
-            let mut bw = Series::new(*name);
-            for (si, &size) in sizes.iter().enumerate() {
-                let p = expect_value::<Fig1Point>(points, ci * sizes.len() + si);
-                lat.push(size as f64, &p.lats);
-                bw.push(size as f64, &p.bws);
+        for (name, _, _) in configs() {
+            let mut lat = Series::new(name);
+            let mut bw = Series::new(name);
+            for (&size, (lats, bws)) in sizes.iter().zip(values.by_ref()) {
+                lat.push(size as f64, lats);
+                bw.push(size as f64, bws);
             }
             lat_series.push(lat);
             bw_series.push(bw);
@@ -221,18 +197,14 @@ impl Experiment for Fig1 {
     }
 }
 
-/// Run Figure 1 (returns `[fig1a, fig1b]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig1, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig1_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig1, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

@@ -14,45 +14,36 @@ use mpisim::pingpong::PingPongConfig;
 use simcore::{Series, SimTime, Summary};
 use topology::{henri, BindingPolicy, CoreId, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
 use crate::report::{Check, FigureData};
 
-/// Everything Figure 2 measures: the three-step protocol results plus the
-/// per-phase frequency snapshots.
-struct Fig2Point {
-    lat_alone: Vec<f64>,
-    lat_together: Vec<f64>,
-    flops_alone: Vec<f64>,
-    flops_together: Vec<f64>,
-    f_ab_comm: f64,
-    f_b_compute: f64,
-    f_c_compute: f64,
-    f_c_comm: f64,
-    f_c_idle: f64,
-}
-
 /// Registry driver for Figure 2 (a single measurement point covering the
 /// three phases).
-pub struct Fig2;
+pub(crate) struct Fig2;
 
-impl Experiment for Fig2 {
-    fn name(&self) -> &'static str {
-        "fig2"
+impl Sweep for Fig2 {
+    const NAME: &'static str = "fig2";
+    const ANCHOR: &'static str = "§3.2, Figure 2";
+    type Point = ();
+    /// The three-step protocol's per-rep (latency alone, latency together,
+    /// flop rate alone, flop rate together), then the frequency snapshots
+    /// (comm core in A/B, compute core in B, compute/comm/idle core in C).
+    type Value = (
+        Vec<f64>,
+        Vec<f64>,
+        Vec<f64>,
+        Vec<f64>,
+        (f64, f64, f64, f64, f64),
+    );
+
+    fn sweep(&self, _fidelity: Fidelity) -> Vec<(String, ())> {
+        vec![("phases A/B/C + latency protocol".to_string(), ())]
     }
 
-    fn anchor(&self) -> &'static str {
-        "§3.2, Figure 2"
-    }
-
-    fn plan(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
-        vec![SweepPoint::new(0, "phases A/B/C + latency protocol")]
-    }
-
-    fn run_point(&self, _point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
+    fn measure(&self, _point: &(), ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
         let machine = henri();
         let workload = primes::workload(0, 40_000, 1);
         let mut cfg = ProtocolConfig::new(machine.clone(), Some(workload));
@@ -93,88 +84,57 @@ impl Experiment for Fig2 {
             cluster.stop_job(0, j);
         }
 
-        Ok(Box::new(Fig2Point {
-            lat_alone: r.lat_alone(),
-            lat_together: r.lat_together(),
-            flops_alone: r.compute_alone.iter().map(|m| m.compute_flop_rate).collect(),
-            flops_together: r.together.iter().map(|m| m.compute_flop_rate).collect(),
-            f_ab_comm,
-            f_b_compute,
-            f_c_compute,
-            f_c_comm,
-            f_c_idle,
-        }))
+        Ok((
+            r.lat_alone(),
+            r.lat_together(),
+            r.compute_alone
+                .iter()
+                .map(|m| m.compute_flop_rate)
+                .collect(),
+            r.together.iter().map(|m| m.compute_flop_rate).collect(),
+            (f_ab_comm, f_b_compute, f_c_compute, f_c_comm, f_c_idle),
+        ))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig2Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lat_alone)
-            .f64s(&p.lat_together)
-            .f64s(&p.flops_alone)
-            .f64s(&p.flops_together)
-            .f64(p.f_ab_comm)
-            .f64(p.f_b_compute)
-            .f64(p.f_c_compute)
-            .f64(p.f_c_comm)
-            .f64(p.f_c_idle);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig2Point {
-            lat_alone: d.f64s()?,
-            lat_together: d.f64s()?,
-            flops_alone: d.f64s()?,
-            flops_together: d.f64s()?,
-            f_ab_comm: d.f64()?,
-            f_b_compute: d.f64()?,
-            f_c_compute: d.f64()?,
-            f_c_comm: d.f64()?,
-            f_c_idle: d.f64()?,
-        };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let p = expect_value::<Fig2Point>(points, 0);
+    fn figures(&self, _fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
+        let (lats_alone, lats_together, flops_alone, flops_together, freqs) = values.get(0);
+        let &(f_ab_comm, f_b_compute, f_c_compute, f_c_comm, f_c_idle) = freqs;
 
         // Series: one synthetic "trace" per phase (x = phase index A/B/C).
         let mut s_comm = Series::new("communication core freq (GHz)");
-        s_comm.push(0.0, &[p.f_ab_comm]); // A
-        s_comm.push(1.0, &[p.f_ab_comm]); // B (still polling)
-        s_comm.push(2.0, &[p.f_c_comm]); // C
+        s_comm.push(0.0, &[f_ab_comm]); // A
+        s_comm.push(1.0, &[f_ab_comm]); // B (still polling)
+        s_comm.push(2.0, &[f_c_comm]); // C
         let mut s_compute = Series::new("computing core freq (GHz)");
-        s_compute.push(0.0, &[p.f_b_compute]);
-        s_compute.push(1.0, &[p.f_b_compute]);
-        s_compute.push(2.0, &[p.f_c_compute]);
+        s_compute.push(0.0, &[f_b_compute]);
+        s_compute.push(1.0, &[f_b_compute]);
+        s_compute.push(2.0, &[f_c_compute]);
         let mut s_idle = Series::new("other idle core freq (GHz)");
-        s_idle.push(0.0, &[p.f_b_compute]);
-        s_idle.push(1.0, &[p.f_b_compute]);
-        s_idle.push(2.0, &[p.f_c_idle]);
+        s_idle.push(0.0, &[f_b_compute]);
+        s_idle.push(1.0, &[f_b_compute]);
+        s_idle.push(2.0, &[f_c_idle]);
         let mut s_lat = Series::new("latency (us): alone vs together");
-        s_lat.push(0.0, &p.lat_alone);
-        s_lat.push(2.0, &p.lat_together);
+        s_lat.push(0.0, lats_alone);
+        s_lat.push(2.0, lats_together);
 
-        let lat_alone = Summary::of(&p.lat_alone).median;
-        let lat_tog = Summary::of(&p.lat_together).median;
-        let t_alone = Summary::of(&p.flops_alone).median;
-        let t_tog = Summary::of(&p.flops_together).median;
+        let lat_alone = Summary::of(lats_alone).median;
+        let lat_tog = Summary::of(lats_together).median;
+        let t_alone = Summary::of(flops_alone).median;
+        let t_tog = Summary::of(flops_together).median;
 
         let checks = vec![
             Check::new(
                 "all cores clock up when computation runs (C vs B)",
-                p.f_c_compute > p.f_b_compute && p.f_c_idle > p.f_b_compute,
+                f_c_compute > f_b_compute && f_c_idle > f_b_compute,
                 format!(
                     "compute {:.1} GHz, idle {:.1} GHz vs idle-phase {:.1} GHz",
-                    p.f_c_compute, p.f_c_idle, p.f_b_compute
+                    f_c_compute, f_c_idle, f_b_compute
                 ),
             ),
             Check::new(
                 "communication-core frequency identical in (A) and (C)",
-                (p.f_ab_comm - p.f_c_comm).abs() < 0.15,
-                format!("A: {:.2} GHz, C: {:.2} GHz", p.f_ab_comm, p.f_c_comm),
+                (f_ab_comm - f_c_comm).abs() < 0.15,
+                format!("A: {:.2} GHz, C: {:.2} GHz", f_ab_comm, f_c_comm),
             ),
             Check::new(
                 "latency slightly better beside computation (paper: 1.52 vs 1.7 µs)",
@@ -211,13 +171,6 @@ impl Experiment for Fig2 {
     }
 }
 
-/// Run Figure 2.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig2, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 /// Measured frequency snapshot used by examples: (comm, compute, idle) GHz
 /// during phase (C).
 pub fn phase_c_frequencies() -> (f64, f64, f64) {
@@ -247,10 +200,13 @@ pub fn phase_c_frequencies() -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig2_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&Fig2, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -13,8 +13,8 @@ use mpisim::pingpong::PingPongConfig;
 use simcore::{Series, Summary};
 use topology::{henri, BindingPolicy, CoreId, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
+use crate::codec::Either;
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
@@ -33,147 +33,116 @@ fn cores(fidelity: Fidelity) -> Vec<usize> {
     fidelity.thin(&core_sweep())
 }
 
-/// One core-count point of the weak-scaling sweep.
-struct SweepOut {
-    times: Vec<f64>,
-    lat_alone: Vec<f64>,
-    lat_together: Vec<f64>,
+/// One point of Figure 3's plan.
+pub(crate) enum Fig3Point {
+    /// Weak scaling with this many AVX512 computing cores (Figure 3a).
+    Scaling(usize),
+    /// Frequency snapshot with this many AVX512 cores (Figures 3b/3c).
+    Snapshot(usize),
 }
 
-/// One frequency snapshot: (computing-core GHz, communication-core GHz).
-#[derive(Clone, Copy)]
-struct SnapshotOut(f64, f64);
+/// Per-rep compute time (ms), latency alone and latency together (µs).
+type Scaling = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// Weak-scaling point with `n` AVX512 computing cores.
+fn weak_scaling(n: usize, ctx: &PointCtx<'_>) -> Result<Scaling, String> {
+    let workload = vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1);
+    let mut cfg = ProtocolConfig::new(henri(), Some(workload));
+    cfg.governor = Governor::Performance { turbo: true };
+    cfg.uncore = UncorePolicy::Auto;
+    cfg.placement = Placement {
+        comm_thread: BindingPolicy::FarFromNic,
+        data: BindingPolicy::NearNic,
+    };
+    cfg.compute_cores = n;
+    cfg.pingpong = PingPongConfig::latency(ctx.fidelity.lat_reps());
+    cfg.reps = ctx.fidelity.reps();
+    cfg.seed = ctx.seed;
+    let r = protocol::try_run(&cfg).map_err(|e| e.to_string())?;
+
+    // Weak-scaling compute time: per-core flops / measured flop rate.
+    let times: Vec<f64> = r
+        .compute_alone
+        .iter()
+        .map(|m| FLOPS_PER_CORE / m.compute_flop_rate * 1e3)
+        .collect();
+    Ok((times, r.lat_alone(), r.lat_together()))
+}
+
+/// Frequency snapshot with `n` AVX512 cores (Figures 3b/3c): (computing-
+/// core GHz, communication-core GHz). The governor model is deterministic,
+/// so a fixed jitter family keeps the snapshot seed-independent.
+fn snapshot(n: usize) -> (f64, f64) {
+    let cfg = ProtocolConfig::new(
+        henri(),
+        Some(vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1)),
+    );
+    let family = simcore::JitterFamily::new(7);
+    let mut cluster = protocol::build_cluster(&cfg, &family, 0);
+    let comm = cluster.comm_core[0];
+    let cores = cluster.compute_cores();
+    let mut jobs = Vec::new();
+    for &c in &cores[..n] {
+        let mut spec = vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1).on_core(c);
+        spec.iterations = u64::MAX / 2;
+        jobs.push(cluster.start_job(0, spec));
+    }
+    let out = (
+        cluster.freqs[0].core_freq(CoreId(0)),
+        cluster.freqs[0].core_freq(comm),
+    );
+    for j in jobs {
+        cluster.stop_job(0, j);
+    }
+    out
+}
 
 /// Registry driver for Figure 3 (weak-scaling sweep plus two frequency
 /// snapshots).
-pub struct Fig3;
+pub(crate) struct Fig3;
 
-impl Experiment for Fig3 {
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
+impl Sweep for Fig3 {
+    const NAME: &'static str = "fig3";
+    const ANCHOR: &'static str = "§3.3, Figures 3a/3b/3c";
+    type Point = Fig3Point;
+    /// [`weak_scaling`] or [`snapshot`].
+    type Value = Either<Scaling, (f64, f64)>;
 
-    fn anchor(&self) -> &'static str {
-        "§3.3, Figures 3a/3b/3c"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let cores = cores(fidelity);
-        let mut plan: Vec<SweepPoint> = cores
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| SweepPoint::new(i, format!("{} AVX512 cores", n)))
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Fig3Point)> {
+        let mut plan: Vec<(String, Fig3Point)> = cores(fidelity)
+            .into_iter()
+            .map(|n| (format!("{} AVX512 cores", n), Fig3Point::Scaling(n)))
             .collect();
-        plan.push(SweepPoint::new(cores.len(), "freq snapshot, 4 cores"));
-        plan.push(SweepPoint::new(cores.len() + 1, "freq snapshot, 20 cores"));
+        for n in [4, 20] {
+            plan.push((
+                format!("freq snapshot, {} cores", n),
+                Fig3Point::Snapshot(n),
+            ));
+        }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let machine = henri();
-        let cores = cores(ctx.fidelity);
-        if point.index >= cores.len() {
-            // Frequency snapshots with 4 and 20 AVX512 cores (Figures
-            // 3b/3c). The governor model is deterministic, so a fixed
-            // jitter family keeps the snapshot seed-independent.
-            let n = if point.index == cores.len() { 4 } else { 20 };
-            let cfg = ProtocolConfig::new(
-                machine,
-                Some(vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1)),
-            );
-            let family = simcore::JitterFamily::new(7);
-            let mut cluster = protocol::build_cluster(&cfg, &family, 0);
-            let comm = cluster.comm_core[0];
-            let cores = cluster.compute_cores();
-            let mut jobs = Vec::new();
-            for &c in &cores[..n] {
-                let mut spec = vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1).on_core(c);
-                spec.iterations = u64::MAX / 2;
-                jobs.push(cluster.start_job(0, spec));
-            }
-            let out = SnapshotOut(
-                cluster.freqs[0].core_freq(CoreId(0)),
-                cluster.freqs[0].core_freq(comm),
-            );
-            for j in jobs {
-                cluster.stop_job(0, j);
-            }
-            return Ok(Box::new(out));
-        }
-
-        let n = cores[point.index];
-        let workload = vecops::avx_workload(FLOPS_PER_CORE, License::Avx512, 1);
-        let mut cfg = ProtocolConfig::new(machine, Some(workload));
-        cfg.governor = Governor::Performance { turbo: true };
-        cfg.uncore = UncorePolicy::Auto;
-        cfg.placement = Placement {
-            comm_thread: BindingPolicy::FarFromNic,
-            data: BindingPolicy::NearNic,
-        };
-        cfg.compute_cores = n;
-        cfg.pingpong = PingPongConfig::latency(ctx.fidelity.lat_reps());
-        cfg.reps = ctx.fidelity.reps();
-        cfg.seed = ctx.seed;
-        let r = protocol::try_run(&cfg).map_err(|e| e.to_string())?;
-
-        // Weak-scaling compute time: per-core flops / measured flop rate.
-        let times: Vec<f64> = r
-            .compute_alone
-            .iter()
-            .map(|m| FLOPS_PER_CORE / m.compute_flop_rate * 1e3)
-            .collect();
-        Ok(Box::new(SweepOut {
-            times,
-            lat_alone: r.lat_alone(),
-            lat_together: r.lat_together(),
-        }))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<SweepOut>() {
-            e.u8(0).f64s(&p.times).f64s(&p.lat_alone).f64s(&p.lat_together);
-        } else if let Some(p) = value.downcast_ref::<SnapshotOut>() {
-            e.u8(1).f64(p.0).f64(p.1);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = SweepOut {
-                    times: d.f64s()?,
-                    lat_alone: d.f64s()?,
-                    lat_together: d.f64s()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = SnapshotOut(d.f64()?, d.f64()?);
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
+    fn measure(&self, point: &Fig3Point, ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
+        match *point {
+            Fig3Point::Scaling(n) => weak_scaling(n, ctx).map(Either::Left),
+            Fig3Point::Snapshot(n) => Ok(Either::Right(snapshot(n))),
         }
     }
 
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let cores = cores(fidelity);
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
+        let mut values = values.iter();
         let mut s_time = Series::new("computation time (ms)");
         let mut s_lat_alone = Series::new("latency alone (us)");
         let mut s_lat_together = Series::new("latency beside AVX512 (us)");
-        for (i, &n) in cores.iter().enumerate() {
-            let p = expect_value::<SweepOut>(points, i);
-            s_time.push(n as f64, &p.times);
-            s_lat_alone.push(n as f64, &p.lat_alone);
-            s_lat_together.push(n as f64, &p.lat_together);
+        for (&n, v) in cores(fidelity).iter().zip(values.by_ref()) {
+            let (times, lat_alone, lat_together) = v.unwrap_left();
+            s_time.push(n as f64, times);
+            s_lat_alone.push(n as f64, lat_alone);
+            s_lat_together.push(n as f64, lat_together);
         }
-        let SnapshotOut(f4_compute, f4_comm) = *expect_value::<SnapshotOut>(points, cores.len());
-        let SnapshotOut(f20_compute, f20_comm) =
-            *expect_value::<SnapshotOut>(points, cores.len() + 1);
+        let mut snapshot = || *values.next().expect("two snapshots").unwrap_right();
+        let (f4_compute, f4_comm) = snapshot();
+        let (f20_compute, f20_comm) = snapshot();
 
         let mut s_freq = Series::new("computing-core freq (GHz) at 4 / 20 cores");
         s_freq.push(4.0, &[f4_compute]);
@@ -263,18 +232,14 @@ impl Experiment for Fig3 {
     }
 }
 
-/// Run Figure 3 (returns `[fig3a, fig3bc]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig3, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig3_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig3, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

@@ -10,84 +10,38 @@
 //! campaign cache, so Figure 5 and Table 1 (which sweep the same
 //! placement) reuse them instead of re-running the protocol.
 
-use topology::Placement;
-
+use super::contention::{self, ContentionPoint, PlacementPoint};
 pub use super::contention::{core_sweep, STREAM_ELEMS};
-use super::contention::{measure, series_for, ContentionPoint, Metric};
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::report::{Check, FigureData};
 
-/// Figure 4's placement label (one of the four Table 1 combos).
-const PLACEMENT_LABEL: &str = "data near, thread far";
-
-const METRICS: [Metric; 2] = [Metric::Latency, Metric::Bandwidth];
-
-fn cores(fidelity: Fidelity) -> Vec<usize> {
-    let machine = topology::henri();
-    fidelity.thin(&core_sweep(machine.core_count() as usize - 1))
-}
-
 /// Registry driver for Figure 4 (sweep: {latency, bandwidth} × core counts).
-pub struct Fig4;
+pub(crate) struct Fig4;
 
-impl Experiment for Fig4 {
-    fn name(&self) -> &'static str {
-        "fig4"
+impl Sweep for Fig4 {
+    const NAME: &'static str = "fig4";
+    const ANCHOR: &'static str = "§4.2, Figures 4a/4b";
+    type Point = PlacementPoint;
+    type Value = ContentionPoint;
+
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, PlacementPoint)> {
+        contention::fig4_sweep(fidelity)
     }
 
-    fn anchor(&self) -> &'static str {
-        "§4.2, Figures 4a/4b"
+    fn measure(
+        &self,
+        point: &PlacementPoint,
+        ctx: &PointCtx<'_>,
+    ) -> Result<ContentionPoint, String> {
+        contention::measure(ctx, point)
     }
 
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let cores = cores(fidelity);
-        let mut plan = Vec::new();
-        for (mi, m) in METRICS.iter().enumerate() {
-            for (ci, &n) in cores.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    mi * cores.len() + ci,
-                    format!("{} @ {} cores", m.tag(), n),
-                ));
-            }
-        }
-        plan
-    }
-
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let cores = cores(ctx.fidelity);
-        let metric = METRICS[point.index / cores.len()];
-        let n = cores[point.index % cores.len()];
-        let machine = topology::henri();
-        let p = measure(
-            ctx,
-            &machine,
-            PLACEMENT_LABEL,
-            Placement::fig4_default(),
-            metric,
-            n,
-        )?;
-        Ok(Box::new(p))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        Some(value.downcast_ref::<ContentionPoint>()?.encode())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        Some(Box::new(ContentionPoint::decode(bytes)?))
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let cores = cores(fidelity);
-        let collect = |mi: usize| -> Vec<&ContentionPoint> {
-            (0..cores.len())
-                .map(|ci| expect_value::<ContentionPoint>(points, mi * cores.len() + ci))
-                .collect()
-        };
-        let lat = series_for(Metric::Latency, &cores, &collect(0));
-        let bw = series_for(Metric::Bandwidth, &cores, &collect(1));
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, ContentionPoint>) -> Vec<FigureData> {
+        let (lat, bw) = contention::curves(fidelity, values)
+            .pop()
+            .expect("one placement");
 
         // ---- checks ----
         let lat_base = lat.comm_alone.points[0].y.median;
@@ -215,30 +169,19 @@ impl Experiment for Fig4 {
     }
 }
 
-/// Run Figure 4 (returns `[fig4a latency, fig4b bandwidth]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig4, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig4_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig4, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {
                 assert!(c.pass, "{}: {} — {}", f.id, c.name, c.detail);
             }
         }
-    }
-
-    #[test]
-    fn placement_label_matches_table1_row() {
-        let combos = Placement::all_combinations();
-        assert_eq!(combos[1].0, PLACEMENT_LABEL);
-        assert_eq!(combos[1].1, Placement::fig4_default());
     }
 }

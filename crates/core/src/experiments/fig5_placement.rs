@@ -10,22 +10,17 @@
 //! * data near → bandwidth decreases *steadily*;
 //! * data far → bandwidth drops *abruptly*.
 //!
-//! All points come from [`super::contention::measure`] and are shared with
-//! Figure 4 and Table 1 through the campaign cache.
+//! The sweep is [`super::contention`]'s placement sweep, which Table 1
+//! reads too; its points are shared with Figure 4 and Table 1 through the
+//! campaign cache.
 
-use topology::{henri, Placement};
+use topology::Placement;
 
-use super::contention::{core_sweep, measure, series_for, ContentionPoint, Metric};
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
+use super::contention::{self, ContentionPoint, PlacementPoint};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::report::{Check, FigureData};
-
-const METRICS: [Metric; 2] = [Metric::Latency, Metric::Bandwidth];
-
-fn cores(fidelity: Fidelity) -> Vec<usize> {
-    fidelity.thin(&core_sweep(henri().core_count() as usize - 1))
-}
 
 /// The medians Figure 5's checks need from one placement.
 struct PlacementStats {
@@ -36,73 +31,32 @@ struct PlacementStats {
 }
 
 /// Registry driver for Figure 5 (sweep: 4 placements × {lat, bw} × cores).
-pub struct Fig5;
+pub(crate) struct Fig5;
 
-impl Experiment for Fig5 {
-    fn name(&self) -> &'static str {
-        "fig5"
+impl Sweep for Fig5 {
+    const NAME: &'static str = "fig5";
+    const ANCHOR: &'static str = "§4.3, Figure 5 / Table 1 curves";
+    type Point = PlacementPoint;
+    type Value = ContentionPoint;
+
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, PlacementPoint)> {
+        contention::placement_sweep(fidelity)
     }
 
-    fn anchor(&self) -> &'static str {
-        "§4.3, Figure 5 / Table 1 curves"
+    fn measure(
+        &self,
+        point: &PlacementPoint,
+        ctx: &PointCtx<'_>,
+    ) -> Result<ContentionPoint, String> {
+        contention::measure(ctx, point)
     }
 
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let cores = cores(fidelity);
-        let mut plan = Vec::new();
-        for (pi, (label, _)) in Placement::all_combinations().into_iter().enumerate() {
-            for (mi, m) in METRICS.iter().enumerate() {
-                for (ci, &n) in cores.iter().enumerate() {
-                    plan.push(SweepPoint::new(
-                        (pi * METRICS.len() + mi) * cores.len() + ci,
-                        format!("{}, {} @ {} cores", label, m.tag(), n),
-                    ));
-                }
-            }
-        }
-        plan
-    }
-
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let cores = cores(ctx.fidelity);
-        let combos = Placement::all_combinations();
-        let pi = point.index / (METRICS.len() * cores.len());
-        let mi = (point.index / cores.len()) % METRICS.len();
-        let n = cores[point.index % cores.len()];
-        let (label, placement) = combos[pi];
-        let machine = henri();
-        let p = measure(ctx, &machine, label, placement, METRICS[mi], n)?;
-        Ok(Box::new(p))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        Some(value.downcast_ref::<ContentionPoint>()?.encode())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        Some(Box::new(ContentionPoint::decode(bytes)?))
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
-        let cores = cores(fidelity);
-        let combos = Placement::all_combinations();
-
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, ContentionPoint>) -> Vec<FigureData> {
         let mut lat_series = Vec::new();
         let mut bw_series = Vec::new();
         let mut stats = Vec::new();
-        for (pi, (label, _)) in combos.iter().enumerate() {
-            let collect = |mi: usize| -> Vec<&ContentionPoint> {
-                (0..cores.len())
-                    .map(|ci| {
-                        expect_value::<ContentionPoint>(
-                            points,
-                            (pi * METRICS.len() + mi) * cores.len() + ci,
-                        )
-                    })
-                    .collect()
-            };
-            let lat = series_for(Metric::Latency, &cores, &collect(0));
-            let bw = series_for(Metric::Bandwidth, &cores, &collect(1));
+        let combos = Placement::all_combinations();
+        for ((label, _), (lat, bw)) in combos.iter().zip(contention::curves(fidelity, values)) {
             stats.push(PlacementStats {
                 lat_base: lat.comm_alone.points[0].y.median,
                 lat_full: lat.comm_together.points.last().expect("points").y.median,
@@ -210,18 +164,14 @@ impl Experiment for Fig5 {
     }
 }
 
-/// Run Figure 5 (returns one `FigureData` for latency, one for bandwidth).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig5, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig5_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig5, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

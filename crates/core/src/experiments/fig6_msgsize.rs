@@ -12,8 +12,7 @@ use simcore::Series;
 use topology::{henri, Placement};
 
 use super::contention::STREAM_ELEMS;
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::{size_sweep, Fidelity};
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig};
@@ -26,42 +25,32 @@ fn sizes(fidelity: Fidelity) -> Vec<usize> {
     fidelity.thin(&size_sweep())
 }
 
-/// Per-rep speed ratios (together ÷ alone) of one (cores, size) point.
-struct Fig6Point {
-    comm_ratios: Vec<f64>,
-    stream_ratios: Vec<f64>,
-}
-
 /// Registry driver for Figure 6 (sweep: {5, 35} cores × message sizes).
-pub struct Fig6;
+pub(crate) struct Fig6;
 
-impl Experiment for Fig6 {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
+impl Sweep for Fig6 {
+    const NAME: &'static str = "fig6";
+    const ANCHOR: &'static str = "§4.4, Figures 6a/6b";
+    /// (computing cores, message size).
+    type Point = (usize, usize);
+    /// Per-rep speed ratios (together ÷ alone): (communication, STREAM).
+    type Value = (Vec<f64>, Vec<f64>);
 
-    fn anchor(&self) -> &'static str {
-        "§4.4, Figures 6a/6b"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let sizes = sizes(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, (usize, usize))> {
         let mut plan = Vec::new();
-        for (gi, &cores) in CORE_COUNTS.iter().enumerate() {
-            for (si, &size) in sizes.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    gi * sizes.len() + si,
-                    format!("{} cores @ {} B", cores, size),
-                ));
+        for cores in CORE_COUNTS {
+            for size in sizes(fidelity) {
+                plan.push((format!("{} cores @ {} B", cores, size), (cores, size)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let sizes = sizes(ctx.fidelity);
-        let cores = CORE_COUNTS[point.index / sizes.len()];
-        let size = sizes[point.index % sizes.len()];
+    fn measure(
+        &self,
+        &(cores, size): &(usize, usize),
+        ctx: &PointCtx<'_>,
+    ) -> Result<Self::Value, String> {
         let machine = henri();
         let w = workload(StreamKernel::Triad, STREAM_ELEMS, machine.near_numa(), 1);
         let mut cfg = ProtocolConfig::new(machine, Some(w));
@@ -95,29 +84,14 @@ impl Experiment for Fig6 {
             .zip(&r.together)
             .map(|(a, t)| t.compute_bw_per_core / a.compute_bw_per_core)
             .collect();
-        Ok(Box::new(Fig6Point {
-            comm_ratios,
-            stream_ratios,
-        }))
+        Ok((comm_ratios, stream_ratios))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig6Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.comm_ratios).f64s(&p.stream_ratios);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig6Point { comm_ratios: d.f64s()?, stream_ratios: d.f64s()? };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let sizes = sizes(fidelity);
+        let mut values = values.iter();
         let mut sweeps = Vec::new();
-        for (gi, &cores) in CORE_COUNTS.iter().enumerate() {
+        for cores in CORE_COUNTS {
             let mut comm = Series::new(format!(
                 "comm speed ratio (together/alone), {} cores",
                 cores
@@ -126,10 +100,9 @@ impl Experiment for Fig6 {
                 "STREAM BW ratio (together/alone), {} cores",
                 cores
             ));
-            for (si, &size) in sizes.iter().enumerate() {
-                let p = expect_value::<Fig6Point>(points, gi * sizes.len() + si);
-                comm.push(size as f64, &p.comm_ratios);
-                stream.push(size as f64, &p.stream_ratios);
+            for (&size, (comm_ratios, stream_ratios)) in sizes.iter().zip(values.by_ref()) {
+                comm.push(size as f64, comm_ratios);
+                stream.push(size as f64, stream_ratios);
             }
             sweeps.push((comm, stream));
         }
@@ -234,20 +207,16 @@ fn onset(series: &Series, rel: f64) -> Option<f64> {
         .map(|p| p.x)
 }
 
-/// Run Figure 6 (returns `[fig6a 5 cores, fig6b 35 cores]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig6, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig6_quick_runs() {
         // Quick fidelity thins the size sweep to the endpoints, so onsets
         // are coarse; only assert that the sweep produces sane ratios.
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig6, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for s in &f.series {

@@ -16,8 +16,8 @@ use mpisim::pingpong::PingPongConfig;
 use simcore::Series;
 use topology::{henri, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use super::contention::Metric;
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{self, ProtocolConfig, StepMask, StepResults};
@@ -36,21 +36,6 @@ fn cursor_sweep() -> Vec<u32> {
 /// hand-picked subset instead of generic thinning.
 fn cursors(fidelity: Fidelity) -> Vec<u32> {
     fidelity.pick(&cursor_sweep(), &[1, 48, 144, 1020])
-}
-
-/// One latency point: per-rep alone and together latencies (µs).
-struct LatOut {
-    alone: Vec<f64>,
-    together: Vec<f64>,
-}
-
-/// One bandwidth point: per-rep alone/together bandwidths plus compute
-/// pass times (ms).
-struct BwOut {
-    alone: Vec<f64>,
-    together: Vec<f64>,
-    t_alone: Vec<f64>,
-    t_together: Vec<f64>,
 }
 
 fn base_config(cursor: u32, pingpong: PingPongConfig, fidelity: Fidelity, seed: u64) -> ProtocolConfig {
@@ -89,36 +74,40 @@ fn comm_alone(
 }
 
 /// Registry driver for Figure 7 (sweep: {latency, bandwidth} × cursors).
-pub struct Fig7;
+pub(crate) struct Fig7;
 
-impl Experiment for Fig7 {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
+impl Sweep for Fig7 {
+    const NAME: &'static str = "fig7";
+    const ANCHOR: &'static str = "§4.5, Figures 7a/7b";
+    /// (network metric, tunable-TRIAD cursor).
+    type Point = (Metric, u32);
+    /// Per rep: the network metric alone and beside the computation, then
+    /// the compute pass time (ms) alone and beside the communication —
+    /// empty for latency points, which skip the computation-alone step.
+    type Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
 
-    fn anchor(&self) -> &'static str {
-        "§4.5, Figures 7a/7b"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let cursors = cursors(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, (Metric, u32))> {
         let mut plan = Vec::new();
-        for (mi, tag) in ["lat", "bw"].iter().enumerate() {
-            for (ci, &cursor) in cursors.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    mi * cursors.len() + ci,
-                    format!("{} @ cursor {} ({:.2} flop/B)", tag, cursor, tunable::intensity(cursor)),
-                ));
+        for metric in [Metric::Latency, Metric::Bandwidth] {
+            for cursor in cursors(fidelity) {
+                let label = format!(
+                    "{} @ cursor {} ({:.2} flop/B)",
+                    metric.tag(),
+                    cursor,
+                    tunable::intensity(cursor)
+                );
+                plan.push((label, (metric, cursor)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let cursors = cursors(ctx.fidelity);
-        let latency = point.index < cursors.len();
-        let cursor = cursors[point.index % cursors.len()];
-        if latency {
+    fn measure(
+        &self,
+        &(metric, cursor): &(Metric, u32),
+        ctx: &PointCtx<'_>,
+    ) -> Result<Self::Value, String> {
+        if metric == Metric::Latency {
             let pp = PingPongConfig::latency(ctx.fidelity.lat_reps());
             let alone = comm_alone(ctx, "lat", pp)?;
             let cfg = base_config(cursor, pp, ctx.fidelity, ctx.seed);
@@ -129,10 +118,7 @@ impl Experiment for Fig7 {
                 StepMask::TOGETHER,
             )
             .map_err(|e| e.to_string())?;
-            Ok(Box::new(LatOut {
-                alone: alone.lat_alone(),
-                together: r.lat_together(),
-            }))
+            Ok((alone.lat_alone(), r.lat_together(), Vec::new(), Vec::new()))
         } else {
             let pp = PingPongConfig {
                 size: 64 << 20,
@@ -159,52 +145,11 @@ impl Experiment for Fig7 {
                 .iter()
                 .map(|m| m.iteration_time(&w) * 1e3)
                 .collect();
-            Ok(Box::new(BwOut {
-                alone: alone.bw_alone(),
-                together: r.bw_together(),
-                t_alone,
-                t_together,
-            }))
+            Ok((alone.bw_alone(), r.bw_together(), t_alone, t_together))
         }
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let mut e = Enc::new();
-        if let Some(p) = value.downcast_ref::<LatOut>() {
-            e.u8(0).f64s(&p.alone).f64s(&p.together);
-        } else if let Some(p) = value.downcast_ref::<BwOut>() {
-            e.u8(1)
-                .f64s(&p.alone)
-                .f64s(&p.together)
-                .f64s(&p.t_alone)
-                .f64s(&p.t_together);
-        } else {
-            return None;
-        }
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        match d.u8()? {
-            0 => {
-                let p = LatOut { alone: d.f64s()?, together: d.f64s()? };
-                d.finish(Box::new(p) as PointValue)
-            }
-            1 => {
-                let p = BwOut {
-                    alone: d.f64s()?,
-                    together: d.f64s()?,
-                    t_alone: d.f64s()?,
-                    t_together: d.f64s()?,
-                };
-                d.finish(Box::new(p) as PointValue)
-            }
-            _ => None,
-        }
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let cursors = cursors(fidelity);
         let mut lat_alone = Series::new("latency alone (us)");
         let mut lat_tog = Series::new("latency + compute (us)");
@@ -212,16 +157,18 @@ impl Experiment for Fig7 {
         let mut bw_tog = Series::new("bandwidth + compute (B/s)");
         let mut t_alone = Series::new("compute time alone (ms/pass)");
         let mut t_tog = Series::new("compute time + comm (ms/pass)");
-        for (ci, &cursor) in cursors.iter().enumerate() {
+        let mut values = values.iter();
+        let lat: Vec<_> = values.by_ref().take(cursors.len()).collect();
+        for ((&cursor, l), b) in cursors.iter().zip(lat).zip(values) {
             let ai = tunable::intensity(cursor);
-            let l = expect_value::<LatOut>(points, ci);
-            lat_alone.push(ai, &l.alone);
-            lat_tog.push(ai, &l.together);
-            let b = expect_value::<BwOut>(points, cursors.len() + ci);
-            bw_alone.push(ai, &b.alone);
-            bw_tog.push(ai, &b.together);
-            t_alone.push(ai, &b.t_alone);
-            t_tog.push(ai, &b.t_together);
+            let (alone, together, _, _) = l;
+            lat_alone.push(ai, alone);
+            lat_tog.push(ai, together);
+            let (alone, together, compute_alone, compute_together) = b;
+            bw_alone.push(ai, alone);
+            bw_tog.push(ai, together);
+            t_alone.push(ai, compute_alone);
+            t_tog.push(ai, compute_together);
         }
 
         // ---- checks ----
@@ -306,18 +253,14 @@ impl Experiment for Fig7 {
     }
 }
 
-/// Run Figure 7 (returns `[fig7a latency, fig7b bandwidth]`).
-pub fn run(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_experiment(&Fig7, &campaign::CampaignOptions::serial(fidelity)).figures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig7_quick_passes_checks() {
-        let figs = run(Fidelity::Quick);
+        let figs = run_experiment(&Fig7, &CampaignOptions::serial(Fidelity::Quick)).figures;
         assert_eq!(figs.len(), 2);
         for f in &figs {
             for c in &f.checks {

@@ -12,8 +12,7 @@ use simcore::{JitterFamily, Series, Summary};
 use taskrt::{pingpong as rt_pingpong, Runtime, RuntimeConfig};
 use topology::{BindingPolicy, Placement, Preset};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::paper;
 use crate::protocol::{build_cluster, ProtocolConfig};
@@ -32,20 +31,14 @@ const MACHINES: [(Preset, f64); 3] = [
     (Preset::Pyxis, paper::FIG8_OVERHEAD_PYXIS_US),
 ];
 
-/// Runtime and plain-MPI latencies of one placement, one entry per rep.
-struct Fig8Point {
-    rt_lat: Vec<f64>,
-    plain_lat: Vec<f64>,
-}
-
 /// Latency through the runtime for one placement, plus the plain-MPI
-/// baseline.
+/// baseline: per-rep (runtime µs, plain MPI µs).
 fn measure(
     machine: &topology::MachineSpec,
     placement: Placement,
     fidelity: Fidelity,
     seed: u64,
-) -> Fig8Point {
+) -> (Vec<f64>, Vec<f64>) {
     let mut rt_lat = Vec::new();
     let mut plain_lat = Vec::new();
     for rep in 0..fidelity.reps() {
@@ -59,73 +52,62 @@ fn measure(
         let mut rt = Runtime::new(RuntimeConfig::for_machine(machine));
         rt_lat.push(rt_pingpong::run(&mut cluster, &mut rt, pp).median_latency_us());
     }
-    Fig8Point { rt_lat, plain_lat }
+    (rt_lat, plain_lat)
+}
+
+/// One point of Figure 8's plan.
+pub(crate) enum Fig8Point {
+    /// A data/thread placement on henri.
+    Henri(Placement),
+    /// The runtime overhead on one machine, data and thread near the NIC.
+    Overhead(Preset),
 }
 
 /// Registry driver for Figure 8 (4 henri placements + 3 per-machine
 /// overhead points).
-pub struct Fig8;
+pub(crate) struct Fig8;
 
-impl Experiment for Fig8 {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
+impl Sweep for Fig8 {
+    const NAME: &'static str = "fig8";
+    const ANCHOR: &'static str = "§5.2/§5.3, Figure 8";
+    type Point = Fig8Point;
+    /// Per-rep latencies (µs): (through the runtime, plain MPI).
+    type Value = (Vec<f64>, Vec<f64>);
 
-    fn anchor(&self) -> &'static str {
-        "§5.2/§5.3, Figure 8"
-    }
-
-    fn plan(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
-        let mut plan: Vec<SweepPoint> = COMBOS
+    fn sweep(&self, _fidelity: Fidelity) -> Vec<(String, Fig8Point)> {
+        let mut plan: Vec<(String, Fig8Point)> = COMBOS
             .iter()
-            .enumerate()
-            .map(|(i, (label, _, _))| SweepPoint::new(i, *label))
+            .map(|&(label, data, comm_thread)| {
+                let placement = Placement { comm_thread, data };
+                (label.to_string(), Fig8Point::Henri(placement))
+            })
             .collect();
-        for (i, (preset, _)) in MACHINES.iter().enumerate() {
-            plan.push(SweepPoint::new(
-                COMBOS.len() + i,
-                format!("overhead on {}", preset.spec().name),
-            ));
+        for (preset, _) in MACHINES {
+            let label = format!("overhead on {}", preset.spec().name);
+            plan.push((label, Fig8Point::Overhead(preset)));
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        if point.index < COMBOS.len() {
-            let (_, data, thread) = COMBOS[point.index];
-            let placement = Placement {
-                comm_thread: thread,
-                data,
-            };
-            let machine = topology::henri();
-            Ok(Box::new(measure(&machine, placement, ctx.fidelity, ctx.seed)))
-        } else {
+    fn measure(&self, point: &Fig8Point, ctx: &PointCtx<'_>) -> Result<Self::Value, String> {
+        Ok(match *point {
+            Fig8Point::Henri(placement) => {
+                measure(&topology::henri(), placement, ctx.fidelity, ctx.seed)
+            }
             // Cross-machine overheads (the §5.2 point values); Quick
             // repetitions suffice for a point estimate on every fidelity.
-            let (preset, _) = MACHINES[point.index - COMBOS.len()];
-            let m = preset.spec();
-            let placement = Placement {
-                comm_thread: BindingPolicy::NearNic,
-                data: BindingPolicy::NearNic,
-            };
-            Ok(Box::new(measure(&m, placement, Fidelity::Quick, ctx.seed)))
-        }
+            Fig8Point::Overhead(preset) => {
+                let placement = Placement {
+                    comm_thread: BindingPolicy::NearNic,
+                    data: BindingPolicy::NearNic,
+                };
+                measure(&preset.spec(), placement, Fidelity::Quick, ctx.seed)
+            }
+        })
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig8Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.rt_lat).f64s(&p.plain_lat);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig8Point { rt_lat: d.f64s()?, plain_lat: d.f64s()? };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, _fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, _fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
+        let mut values = values.iter();
         let mut s_rt = Series::new("latency through StarPU-like runtime (us)");
         let mut s_plain = Series::new("plain MPI latency (us)");
         let mut medians = Vec::new();
@@ -135,12 +117,13 @@ impl Experiment for Fig8 {
             paper::FIG8_OVERHEAD_BILLY_US,
             paper::FIG8_OVERHEAD_PYXIS_US
         )];
-        for (i, (label, _, _)) in COMBOS.iter().enumerate() {
-            let p = expect_value::<Fig8Point>(points, i);
-            let rt_med = Summary::of(&p.rt_lat).median;
-            let plain_med = Summary::of(&p.plain_lat).median;
-            s_rt.push(i as f64, &p.rt_lat);
-            s_plain.push(i as f64, &p.plain_lat);
+        for ((i, (label, _, _)), (rt_lat, plain_lat)) in
+            COMBOS.iter().enumerate().zip(values.by_ref())
+        {
+            let rt_med = Summary::of(rt_lat).median;
+            let plain_med = Summary::of(plain_lat).median;
+            s_rt.push(i as f64, rt_lat);
+            s_plain.push(i as f64, plain_lat);
             medians.push((label, rt_med, plain_med));
             notes.push(format!(
                 "{}: runtime {:.1} µs vs plain {:.1} µs",
@@ -149,9 +132,8 @@ impl Experiment for Fig8 {
         }
 
         let mut overhead_ok = true;
-        for (i, (preset, expect)) in MACHINES.iter().enumerate() {
-            let p = expect_value::<Fig8Point>(points, COMBOS.len() + i);
-            let overhead = Summary::of(&p.rt_lat).median - Summary::of(&p.plain_lat).median;
+        for ((preset, expect), (rt_lat, plain_lat)) in MACHINES.iter().zip(values) {
+            let overhead = Summary::of(rt_lat).median - Summary::of(plain_lat).median;
             overhead_ok &= (overhead - expect).abs() / expect < 0.4;
             notes.push(format!(
                 "{}: measured overhead {:.1} µs (paper {:.0} µs)",
@@ -199,20 +181,16 @@ impl Experiment for Fig8 {
     }
 }
 
-/// Run Figure 8.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig8, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig8_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&Fig8, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

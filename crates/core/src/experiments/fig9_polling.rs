@@ -11,8 +11,7 @@ use simcore::{JitterFamily, Series};
 use taskrt::{pingpong as rt_pingpong, Runtime, RuntimeConfig};
 use topology::{henri, BindingPolicy, Placement};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -32,41 +31,35 @@ fn sizes(fidelity: Fidelity) -> Vec<usize> {
     fidelity.thin(&[4usize, 64, 1024, 4 * 1024, 16 * 1024, 64 * 1024])
 }
 
-/// Per-rep latencies of one (polling config, size) point.
-struct Fig9Point {
-    lats: Vec<f64>,
-}
-
 /// Registry driver for Figure 9 (sweep: 4 polling configs × sizes).
-pub struct Fig9;
+pub(crate) struct Fig9;
 
-impl Experiment for Fig9 {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
+impl Sweep for Fig9 {
+    const NAME: &'static str = "fig9";
+    const ANCHOR: &'static str = "§5.4, Figure 9";
+    /// (worker backoff, `None` = paused; message size).
+    type Point = (Option<u32>, usize);
+    /// Per-rep latencies (µs).
+    type Value = Vec<f64>;
 
-    fn anchor(&self) -> &'static str {
-        "§5.4, Figure 9"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let sizes = sizes(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, Self::Point)> {
         let mut plan = Vec::new();
-        for (bi, &backoff) in CONFIGS.iter().enumerate() {
-            for (si, &size) in sizes.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    bi * sizes.len() + si,
+        for backoff in CONFIGS {
+            for size in sizes(fidelity) {
+                plan.push((
                     format!("{} @ {} B", config_name(backoff), size),
+                    (backoff, size),
                 ));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let sizes = sizes(ctx.fidelity);
-        let backoff = CONFIGS[point.index / sizes.len()];
-        let size = sizes[point.index % sizes.len()];
+    fn measure(
+        &self,
+        &(backoff, size): &Self::Point,
+        ctx: &PointCtx<'_>,
+    ) -> Result<Vec<f64>, String> {
         let machine = henri();
         let mut lats = Vec::new();
         for rep in 0..ctx.fidelity.reps() {
@@ -102,32 +95,18 @@ impl Experiment for Fig9 {
             );
             lats.push(res.median_latency_us());
         }
-        Ok(Box::new(Fig9Point { lats }))
+        Ok(lats)
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<Fig9Point>()?;
-        let mut e = Enc::new();
-        e.f64s(&p.lats);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = Fig9Point { lats: d.f64s()? };
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Vec<f64>>) -> Vec<FigureData> {
         let sizes = sizes(fidelity);
+        let mut values = values.iter();
         let series: Vec<Series> = CONFIGS
             .iter()
-            .enumerate()
-            .map(|(bi, &backoff)| {
+            .map(|&backoff| {
                 let mut s = Series::new(config_name(backoff));
-                for (si, &size) in sizes.iter().enumerate() {
-                    let p = expect_value::<Fig9Point>(points, bi * sizes.len() + si);
-                    s.push(size as f64, &p.lats);
+                for (&size, lats) in sizes.iter().zip(values.by_ref()) {
+                    s.push(size as f64, lats);
                 }
                 s
             })
@@ -174,20 +153,16 @@ impl Experiment for Fig9 {
     }
 }
 
-/// Run Figure 9.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Fig9, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn fig9_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&Fig9, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

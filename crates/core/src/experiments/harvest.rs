@@ -29,8 +29,8 @@ use simcore::{Series, Summary};
 use topology::presets::Preset;
 use topology::{MachineSpec, Placement};
 
-use crate::campaign::{Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, PointOutcome, Sweep, Values};
+use crate::codec::{self, Codec, Dec, Enc};
 use crate::experiments::contention::{data_numa, Metric};
 use crate::experiments::Fidelity;
 use crate::protocol::{self, ProtocolConfig, StepMask, StepResults};
@@ -283,9 +283,14 @@ pub struct TrainingPair {
 }
 
 impl TrainingPair {
-    /// Exact-bits serialization for the result store.
+    /// Exact-bits serialization for the result store ([`Codec`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        codec::to_bytes(self)
+    }
+}
+
+impl Codec for TrainingPair {
+    fn encode(&self, e: &mut Enc) {
         e.u8(preset_index(self.spec.preset))
             .u8(self.spec.placement as u8)
             .u8(match self.spec.family {
@@ -303,12 +308,9 @@ impl TrainingPair {
             .f64s(&self.features)
             .f64(self.comm_penalty)
             .f64(self.compute_penalty);
-        e.into_bytes()
     }
 
-    /// Inverse of [`TrainingPair::encode`]; `None` on any malformation.
-    pub fn decode(bytes: &[u8]) -> Option<TrainingPair> {
-        let mut d = Dec::new(bytes);
+    fn decode(d: &mut Dec<'_>) -> Option<TrainingPair> {
         let preset = preset_from_index(d.u8()?)?;
         let placement = d.u8()? as usize;
         if placement >= Placement::all_combinations().len() {
@@ -328,7 +330,7 @@ impl TrainingPair {
             1 => Metric::Latency,
             _ => return None,
         };
-        let p = TrainingPair {
+        Some(TrainingPair {
             spec: PairSpec {
                 preset,
                 placement,
@@ -339,8 +341,7 @@ impl TrainingPair {
             features: d.f64s()?,
             comm_penalty: d.f64()?,
             compute_penalty: d.f64()?,
-        };
-        d.finish(p)
+        })
     }
 }
 
@@ -738,60 +739,33 @@ pub struct Harvest {
     pub filter: Option<fn(&PairSpec) -> bool>,
 }
 
-impl Harvest {
-    /// The grid this instance plans, at the given fidelity.
-    pub fn specs(&self, fidelity: Fidelity) -> Vec<PairSpec> {
-        let mut g = grid(fidelity);
-        if let Some(f) = self.filter {
-            g.retain(f);
-        }
-        g
-    }
-}
+impl Sweep for Harvest {
+    const NAME: &'static str = "predict_harvest";
+    const ANCHOR: &'static str = "predictor training pairs (ROADMAP item 4, arXiv 2410.18126)";
+    type Point = PairSpec;
+    type Value = TrainingPair;
 
-impl Experiment for Harvest {
-    fn name(&self) -> &'static str {
-        "predict_harvest"
-    }
-
-    fn anchor(&self) -> &'static str {
-        "predictor training pairs (ROADMAP item 4, arXiv 2410.18126)"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        self.specs(fidelity)
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SweepPoint::new(i, s.label()))
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, PairSpec)> {
+        grid(fidelity)
+            .into_iter()
+            .filter(|s| self.filter.is_none_or(|f| f(s)))
+            .map(|s| (s.label(), s))
             .collect()
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let specs = self.specs(ctx.fidelity);
-        let spec = specs
-            .get(point.index)
-            .ok_or_else(|| format!("point {} outside the harvest grid", point.index))?;
-        let pair = measure_pair(spec, ctx)?;
-        Ok(Box::new(pair))
+    fn measure(&self, spec: &PairSpec, ctx: &PointCtx<'_>) -> Result<TrainingPair, String> {
+        measure_pair(spec, ctx)
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        value.downcast_ref::<TrainingPair>().map(TrainingPair::encode)
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        TrainingPair::decode(bytes).map(|p| Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[crate::campaign::PointOutcome]) -> Vec<FigureData> {
-        let pairs = collect_pairs(points);
+    fn figures(&self, _fidelity: Fidelity, values: Values<'_, TrainingPair>) -> Vec<FigureData> {
+        let pairs: Vec<&TrainingPair> = values.present().collect();
         let mut comm = Series::new("comm penalty (alone/together)");
         let mut compute = Series::new("compute penalty (alone/together)");
         for (i, p) in pairs.iter().enumerate() {
             comm.push(i as f64, &[p.comm_penalty]);
             compute.push(i as f64, &[p.compute_penalty]);
         }
-        let planned = self.specs(fidelity).len();
+        let planned = values.len();
         let finite = pairs
             .iter()
             .all(|p| p.comm_penalty.is_finite() && p.compute_penalty.is_finite());
@@ -828,13 +802,8 @@ impl Experiment for Harvest {
 
 /// Extract the successfully harvested pairs from campaign outcomes, in
 /// plan order.
-pub fn collect_pairs(points: &[crate::campaign::PointOutcome]) -> Vec<TrainingPair> {
-    points
-        .iter()
-        .filter_map(|o| o.value.as_ref())
-        .filter_map(|v| v.downcast_ref::<TrainingPair>())
-        .cloned()
-        .collect()
+pub fn collect_pairs(points: &[PointOutcome]) -> Vec<TrainingPair> {
+    Values::new(points).present().cloned().collect()
 }
 
 /// Byte-stable textual dump of a feature matrix: one header line naming
@@ -884,14 +853,14 @@ mod tests {
             comm_penalty: 1.37,
             compute_penalty: 0.93,
         };
-        let d = TrainingPair::decode(&p.encode()).expect("roundtrip");
+        let d: TrainingPair = codec::from_bytes(&p.encode()).expect("roundtrip");
         assert_eq!(d.spec, p.spec);
         assert_eq!(d.features, p.features);
         assert_eq!(d.comm_penalty.to_bits(), p.comm_penalty.to_bits());
         // Trailing garbage is rejected.
         let mut bytes = p.encode();
         bytes.push(0);
-        assert!(TrainingPair::decode(&bytes).is_none());
+        assert!(codec::from_bytes::<TrainingPair>(&bytes).is_none());
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! One driver per paper figure/table, registered behind the
-//! [`crate::campaign::Experiment`] trait.
+//! One driver per paper figure/table, each declared once as a
+//! [`crate::campaign::Sweep`] and registered as a
+//! [`crate::campaign::Experiment`].
 //!
-//! Every driver returns [`crate::report::FigureData`] containing the
-//! simulated series, notes quoting the paper's reference values and
-//! automated qualitative checks. Drivers take a [`Fidelity`]: `Full`
-//! matches the paper's sweep density (used by the `repro` binary and the
-//! benches), `Quick` thins sweeps and repetitions for tests.
+//! A driver lists its typed sweep points (a point's position is its plan
+//! index), measures one point into a typed value, and folds the values
+//! into [`crate::report::FigureData`]: the simulated series, notes quoting
+//! the paper's reference values and automated qualitative checks. The
+//! campaign engine owns indices, seeds, the value codec and the result
+//! store. Drivers take a [`Fidelity`]: `Full` matches the paper's sweep
+//! density (used by the `repro` binary and the benches), `Quick` thins
+//! sweeps and repetitions for tests.
 //!
-//! The per-module `run(fidelity)` helpers are thin wrappers over
-//! [`crate::campaign::run_experiment`]; whole-suite campaigns go through
-//! [`run_all`] / [`run_extensions`] or, with explicit options (parallel
-//! workers, shared baseline cache), [`crate::campaign::run_set`] over
-//! [`PAPER_EXPERIMENTS`] / [`EXTENSION_EXPERIMENTS`].
+//! Campaigns run through [`crate::campaign::run_set`] (or
+//! [`crate::campaign::run_experiment`] for one driver) over
+//! [`PAPER_EXPERIMENTS`] / [`EXTENSION_EXPERIMENTS`], with explicit
+//! options: fidelity, parallel workers, telemetry and deadlines.
 
 pub mod ablations;
 pub mod collective_contention;
@@ -34,8 +37,7 @@ pub mod harvest;
 pub mod table1;
 pub mod validation;
 
-use crate::campaign::{self, CampaignOptions, Experiment};
-use crate::report::FigureData;
+use crate::campaign::Experiment;
 
 /// Sweep density / repetition selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,7 +110,7 @@ impl Fidelity {
     }
 }
 
-/// The paper's figures and table, in `run_all` (= figure) order.
+/// The paper's figures and table, in figure order.
 pub static PAPER_EXPERIMENTS: &[&dyn Experiment] = &[
     &fig1_frequency::Fig1,
     &fig2_freq_dynamics::Fig2,
@@ -123,7 +125,7 @@ pub static PAPER_EXPERIMENTS: &[&dyn Experiment] = &[
     &fig10_usecases::Fig10,
 ];
 
-/// The extension studies (not paper figures), in `run_extensions` order.
+/// The extension studies (not paper figures), in `repro --ext` order.
 pub static EXTENSION_EXPERIMENTS: &[&dyn Experiment] = &[
     &cross_machine::CrossMachine,
     &ablations::Ablations,
@@ -150,31 +152,12 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
 /// The validation campaign (`repro --validate`). Deliberately *outside*
 /// the registries: `--all` reproduces the paper, validation interrogates
 /// the simulator itself (see [`validation`]).
-pub static VALIDATION_EXPERIMENT: &dyn Experiment = &validation::Validate;
+pub static VALIDATION_EXPERIMENT: &dyn Experiment = &validation::Validate { fuzz_budget: None };
 
 /// The predictor's training-pair harvest (`repro predict` pipelines).
 /// Outside the registries for the same reason as validation: it feeds the
 /// placement advisor rather than reproducing a paper figure.
 pub static HARVEST_EXPERIMENT: &dyn Experiment = &harvest::Harvest { filter: None };
-
-/// Run every figure driver on henri at the given fidelity. Used by the
-/// repro binary's `--all` mode and by the end-to-end integration test.
-pub fn run_all(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_set(PAPER_EXPERIMENTS, &CampaignOptions::serial(fidelity))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect()
-}
-
-/// Run the extension experiments (cross-machine validation, model
-/// ablations, overlap study and the fault-injection demo) — not paper
-/// figures, but the studies DESIGN.md promises.
-pub fn run_extensions(fidelity: Fidelity) -> Vec<FigureData> {
-    campaign::run_set(EXTENSION_EXPERIMENTS, &CampaignOptions::serial(fidelity))
-        .into_iter()
-        .flat_map(|r| r.figures)
-        .collect()
-}
 
 /// Standard message-size sweep (powers of four, 4 B – 64 MiB).
 pub fn size_sweep() -> Vec<usize> {

@@ -24,8 +24,7 @@ use mpisim::ClusterEvent;
 use simcore::{JitterFamily, Series};
 use topology::{henri, NumaId};
 
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
-use crate::codec::{Dec, Enc};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::protocol::{build_cluster, ProtocolConfig};
 use crate::report::{Check, FigureData};
@@ -39,14 +38,10 @@ fn sizes(fidelity: Fidelity) -> Vec<usize> {
     fidelity.pick(&[64 << 10, 1 << 20, 8 << 20, 64 << 20], &[1 << 20, 64 << 20])
 }
 
-/// One overlap measurement: (T_comm, T_comp, T_total) in seconds.
-#[derive(Clone, Copy)]
-struct OverlapPoint(f64, f64, f64);
-
-/// One overlap measurement. `cores` computing threads run the same
+/// One overlap measurement: (T_comm, T_comp, T_total) in seconds. `cores` computing threads run the same
 /// per-core workload (the paper's weak-scaling style); several memory-bound
 /// cores are needed to saturate the controller the transfer also uses.
-fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> OverlapPoint {
+fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> (f64, f64, f64) {
     let machine = henri();
     let mk = || {
         let cfg = ProtocolConfig::new(machine.clone(), None);
@@ -121,7 +116,7 @@ fn measure(size: usize, ai: f64, cores: usize, seed: u64) -> OverlapPoint {
         }
         (c.engine.now() - t0).as_secs_f64()
     };
-    OverlapPoint(t_comm, t_comp, t_total)
+    (t_comm, t_comp, t_total)
 }
 
 /// Overlap ratio from the three durations.
@@ -136,61 +131,43 @@ pub fn overlap_ratio(t_comm: f64, t_comp: f64, t_total: f64) -> f64 {
 }
 
 /// Registry driver for the overlap study (sweep: {cpu, mem} × sizes).
-pub struct Overlap;
+pub(crate) struct Overlap;
 
-impl Experiment for Overlap {
-    fn name(&self) -> &'static str {
-        "overlap"
-    }
+impl Sweep for Overlap {
+    const NAME: &'static str = "overlap";
+    const ANCHOR: &'static str = "related work [7] companion study";
+    /// (arithmetic intensity, message size).
+    type Point = (f64, usize);
+    /// [`measure`]'s (T_comm, T_comp, T_total).
+    type Value = (f64, f64, f64);
 
-    fn anchor(&self) -> &'static str {
-        "related work [7] companion study"
-    }
-
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let sizes = sizes(fidelity);
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, (f64, usize))> {
         let mut plan = Vec::new();
-        for (ai_i, (tag, ai)) in PROFILES.iter().enumerate() {
-            for (si, &size) in sizes.iter().enumerate() {
-                plan.push(SweepPoint::new(
-                    ai_i * sizes.len() + si,
-                    format!("{} (AI {}) @ {} B", tag, ai, size),
-                ));
+        for (tag, ai) in PROFILES {
+            for size in sizes(fidelity) {
+                plan.push((format!("{} (AI {}) @ {} B", tag, ai, size), (ai, size)));
             }
         }
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let sizes = sizes(ctx.fidelity);
-        let (_, ai) = PROFILES[point.index / sizes.len()];
-        let size = sizes[point.index % sizes.len()];
-        Ok(Box::new(measure(size, ai, CORES, ctx.seed)))
+    fn measure(
+        &self,
+        &(ai, size): &(f64, usize),
+        ctx: &PointCtx<'_>,
+    ) -> Result<Self::Value, String> {
+        Ok(measure(size, ai, CORES, ctx.seed))
     }
 
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        let p = value.downcast_ref::<OverlapPoint>()?;
-        let mut e = Enc::new();
-        e.f64(p.0).f64(p.1).f64(p.2);
-        Some(e.into_bytes())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        let mut d = Dec::new(bytes);
-        let p = OverlapPoint(d.f64()?, d.f64()?, d.f64()?);
-        d.finish(Box::new(p) as PointValue)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Self::Value>) -> Vec<FigureData> {
         let sizes = sizes(fidelity);
         let mut s_cpu = Series::new("overlap ratio, CPU-bound computation (AI 64)");
         let mut s_mem = Series::new("overlap ratio, memory-bound computation (AI 0.1)");
         let mut s_stretch = Series::new("T_total / max(T_comm, T_comp), memory-bound");
-        for (si, &size) in sizes.iter().enumerate() {
-            let OverlapPoint(c1, p1, t1) = *expect_value::<OverlapPoint>(points, si);
+        let mut values = values.iter();
+        let cpu: Vec<_> = values.by_ref().take(sizes.len()).collect();
+        for ((&size, &(c1, p1, t1)), &(c2, p2, t2)) in sizes.iter().zip(cpu).zip(values) {
             s_cpu.push(size as f64, &[overlap_ratio(c1, p1, t1)]);
-            let OverlapPoint(c2, p2, t2) =
-                *expect_value::<OverlapPoint>(points, sizes.len() + si);
             s_mem.push(size as f64, &[overlap_ratio(c2, p2, t2)]);
             s_stretch.push(size as f64, &[t2 / c2.max(p2)]);
         }
@@ -237,16 +214,10 @@ impl Experiment for Overlap {
     }
 }
 
-/// Run the overlap study across message sizes and intensities.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Overlap, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn ratio_bounds() {
@@ -258,7 +229,9 @@ mod tests {
 
     #[test]
     fn overlap_quick_passes_checks() {
-        let f = run(Fidelity::Quick);
+        let f = run_experiment(&Overlap, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

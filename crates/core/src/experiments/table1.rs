@@ -5,125 +5,67 @@
 //! every point is a cache hit: Table 1 costs nothing beyond Figure 5.
 
 use simcore::Series;
-use topology::{henri, Placement};
+use topology::Placement;
 
-use super::contention::{core_sweep, measure, series_for, ContentionPoint, Metric};
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointOutcome, PointValue, SweepPoint};
+use super::contention::{self, ContentionPoint, PlacementPoint};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::experiments::Fidelity;
 use crate::report::{Check, FigureData};
 
-const METRICS: [Metric; 2] = [Metric::Latency, Metric::Bandwidth];
-
-fn cores(fidelity: Fidelity) -> Vec<usize> {
-    fidelity.thin(&core_sweep(henri().core_count() as usize - 1))
-}
-
 /// One derived row of Table 1.
-#[derive(Clone, Debug)]
-pub struct TableRow {
+struct TableRow {
     /// Placement label.
-    pub label: &'static str,
+    label: &'static str,
     /// Latency inflation factor at full occupancy.
-    pub lat_factor: f64,
+    lat_factor: f64,
     /// 10 %-degradation onset of the latency curve (computing cores).
-    pub lat_onset: Option<f64>,
+    lat_onset: Option<f64>,
     /// Bandwidth loss at full occupancy, fraction.
-    pub bw_loss: f64,
+    bw_loss: f64,
     /// 10 %-degradation onset of the bandwidth curve.
-    pub bw_onset: Option<f64>,
+    bw_onset: Option<f64>,
 }
 
-fn rows_from(fidelity: Fidelity, points: &[PointOutcome]) -> Vec<TableRow> {
-    let cores = cores(fidelity);
-    Placement::all_combinations()
-        .iter()
-        .enumerate()
-        .map(|(pi, (label, _))| {
-            let collect = |mi: usize| -> Vec<&ContentionPoint> {
-                (0..cores.len())
-                    .map(|ci| {
-                        expect_value::<ContentionPoint>(
-                            points,
-                            (pi * METRICS.len() + mi) * cores.len() + ci,
-                        )
-                    })
-                    .collect()
-            };
-            let lat = series_for(Metric::Latency, &cores, &collect(0));
-            let bw = series_for(Metric::Bandwidth, &cores, &collect(1));
-            let lat_base = lat.comm_alone.points[0].y.median;
-            let lat_full = lat.comm_together.points.last().expect("points").y.median;
-            let bw_base = bw.comm_alone.points[0].y.median;
-            let bw_full = bw.comm_together.points.last().expect("points").y.median;
-            TableRow {
-                label,
-                lat_factor: lat_full / lat_base,
-                lat_onset: lat.comm_together.onset_x(lat_base, 0.10),
-                bw_loss: 1.0 - bw_full / bw_base,
-                bw_onset: bw.comm_together.onset_x(bw_base, 0.10),
-            }
-        })
-        .collect()
-}
-
-/// Compute the rows (standalone serial campaign).
-pub fn rows(fidelity: Fidelity) -> Vec<TableRow> {
-    let opts = campaign::CampaignOptions::serial(fidelity);
-    let points = campaign::run_outcomes_with_store(&Table1, &opts, None);
-    rows_from(fidelity, &points)
-}
-
-/// Registry driver for Table 1 (same plan as Figure 5; every point shared
+/// Registry driver for Table 1 (Figure 5's sweep; every point shared
 /// through the campaign cache).
-pub struct Table1;
+pub(crate) struct Table1;
 
-impl Experiment for Table1 {
-    fn name(&self) -> &'static str {
-        "table1"
+impl Sweep for Table1 {
+    const NAME: &'static str = "table1";
+    const ANCHOR: &'static str = "§4.3, Table 1";
+    type Point = PlacementPoint;
+    type Value = ContentionPoint;
+
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, PlacementPoint)> {
+        contention::placement_sweep(fidelity)
     }
 
-    fn anchor(&self) -> &'static str {
-        "§4.3, Table 1"
+    fn measure(
+        &self,
+        point: &PlacementPoint,
+        ctx: &PointCtx<'_>,
+    ) -> Result<ContentionPoint, String> {
+        contention::measure(ctx, point)
     }
 
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let cores = cores(fidelity);
-        let mut plan = Vec::new();
-        for (pi, (label, _)) in Placement::all_combinations().into_iter().enumerate() {
-            for (mi, m) in METRICS.iter().enumerate() {
-                for (ci, &n) in cores.iter().enumerate() {
-                    plan.push(SweepPoint::new(
-                        (pi * METRICS.len() + mi) * cores.len() + ci,
-                        format!("{}, {} @ {} cores", label, m.tag(), n),
-                    ));
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, ContentionPoint>) -> Vec<FigureData> {
+        let rows: Vec<TableRow> = Placement::all_combinations()
+            .iter()
+            .zip(contention::curves(fidelity, values))
+            .map(|(&(label, _), (lat, bw))| {
+                let lat_base = lat.comm_alone.points[0].y.median;
+                let lat_full = lat.comm_together.points.last().expect("points").y.median;
+                let bw_base = bw.comm_alone.points[0].y.median;
+                let bw_full = bw.comm_together.points.last().expect("points").y.median;
+                TableRow {
+                    label,
+                    lat_factor: lat_full / lat_base,
+                    lat_onset: lat.comm_together.onset_x(lat_base, 0.10),
+                    bw_loss: 1.0 - bw_full / bw_base,
+                    bw_onset: bw.comm_together.onset_x(bw_base, 0.10),
                 }
-            }
-        }
-        plan
-    }
-
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let cores = cores(ctx.fidelity);
-        let combos = Placement::all_combinations();
-        let pi = point.index / (METRICS.len() * cores.len());
-        let mi = (point.index / cores.len()) % METRICS.len();
-        let n = cores[point.index % cores.len()];
-        let (label, placement) = combos[pi];
-        let machine = henri();
-        let p = measure(ctx, &machine, label, placement, METRICS[mi], n)?;
-        Ok(Box::new(p))
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        Some(value.downcast_ref::<ContentionPoint>()?.encode())
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        Some(Box::new(ContentionPoint::decode(bytes)?))
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
-        let rows = rows_from(fidelity, points);
+            })
+            .collect();
         // Encode the table as series: x = row index.
         let mut s_lat = Series::new("latency inflation factor at full occupancy");
         let mut s_bw = Series::new("bandwidth loss (%) at full occupancy");
@@ -181,20 +123,16 @@ impl Experiment for Table1 {
     }
 }
 
-/// Run Table 1.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Table1, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn table1_quick_passes_checks() {
-        let t = run(Fidelity::Quick);
+        let t = run_experiment(&Table1, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &t.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }

@@ -18,11 +18,11 @@
 //!   fuzzing random collective schedules against a sequential reference.
 //!
 //! The fuzz budget defaults to `Full`: 200 / `Quick`: 60 scenarios and can
-//! be overridden with `--fuzz-budget N` (plumbed through the
-//! `SIMCHECK_FUZZ_BUDGET` environment variable so the plan and the points
-//! agree on the chunking). When `SIMCHECK_FAILURE_DIR` is set, every
-//! shrunk failing script is also written there as a file — the nightly
-//! long-fuzz workflow uploads that directory as an artifact.
+//! be overridden with `--fuzz-budget N` ([`Validate::fuzz_budget`]); each
+//! chunk's point carries its own scenario count. When
+//! `SIMCHECK_FAILURE_DIR` is set, every shrunk failing script is also
+//! written there as a file — the nightly long-fuzz workflow uploads that
+//! directory as an artifact.
 
 use simcheck::scenario::GenConfig;
 use simcheck::{collective, fuzz, metamorphic, oracles};
@@ -30,7 +30,7 @@ use topology::fabric::FabricPreset;
 use topology::Preset;
 
 use super::Fidelity;
-use crate::campaign::{self, expect_value, Experiment, PointCtx, PointValue, SweepPoint};
+use crate::campaign::{PointCtx, Sweep, Values};
 use crate::report::{Check, FigureData};
 
 /// Scenarios per fuzz sweep point (chunk).
@@ -52,197 +52,117 @@ fn coll_fuzz_count(fidelity: Fidelity) -> usize {
     fidelity.choose(24, 6)
 }
 
-/// Total fuzz budget: `SIMCHECK_FUZZ_BUDGET` override or the fidelity
-/// default. Read identically from `plan` and `run_point` so the chunking
-/// is consistent within a campaign.
-fn fuzz_budget(fidelity: Fidelity) -> usize {
-    std::env::var("SIMCHECK_FUZZ_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| fidelity.choose(200, 60))
-}
-
-fn fuzz_chunks(fidelity: Fidelity) -> usize {
-    fuzz_budget(fidelity).div_ceil(FUZZ_CHUNK)
-}
-
 /// The validation campaign driver (`repro --validate`).
-pub struct Validate;
-
-impl Validate {
-    fn oracle_points() -> usize {
-        Preset::clusters().len() * oracles::OracleKind::ALL.len()
-    }
-
-    fn coll_oracle_points() -> usize {
-        FabricPreset::ALL.len() * collective::CollectiveOracle::ALL.len()
-    }
-
-    fn meta_base(fidelity: Fidelity) -> usize {
-        let _ = fidelity;
-        Self::oracle_points() + Self::coll_oracle_points()
-    }
-
-    fn coll_meta_base(fidelity: Fidelity) -> usize {
-        Self::meta_base(fidelity) + metamorphic::Invariant::ALL.len()
-    }
-
-    fn fuzz_base(fidelity: Fidelity) -> usize {
-        Self::coll_meta_base(fidelity) + collective::CollectiveInvariant::ALL.len()
-    }
-
-    /// Index of the single collective-fuzz point (the campaign's last).
-    fn coll_fuzz_index(fidelity: Fidelity) -> usize {
-        Self::fuzz_base(fidelity) + fuzz_chunks(fidelity)
-    }
+pub struct Validate {
+    /// Total differential-fuzz scenarios; `None` is the fidelity default
+    /// (`Full`: 200, `Quick`: 60).
+    pub fuzz_budget: Option<usize>,
 }
 
-impl Experiment for Validate {
-    fn name(&self) -> &'static str {
-        "validate"
-    }
+/// One point of the validation plan.
+pub enum ValidatePoint {
+    /// One closed-form oracle family on one cluster preset.
+    Oracle(Preset, oracles::OracleKind),
+    /// One collective oracle family on one fabric preset.
+    CollectiveOracle(FabricPreset, collective::CollectiveOracle),
+    /// One metamorphic invariant over this many random fluid scenarios.
+    Metamorphic(metamorphic::Invariant, usize),
+    /// One collective invariant over this many random schedules.
+    CollectiveInvariant(collective::CollectiveInvariant, usize),
+    /// One chunk of the differential fuzz budget: `n` scenarios.
+    Fuzz {
+        /// Chunk number (0-based).
+        chunk: usize,
+        /// Scenarios in the chunk.
+        n: usize,
+    },
+    /// Differential fuzz of this many random collective schedules.
+    CollectiveFuzz(usize),
+}
 
-    fn anchor(&self) -> &'static str {
-        "model validation (oracles, metamorphic invariants, differential fuzz)"
-    }
+impl Sweep for Validate {
+    const NAME: &'static str = "validate";
+    const ANCHOR: &'static str =
+        "model validation (oracles, metamorphic invariants, differential fuzz)";
+    /// Validation interrogates the simulator build at hand: always rerun.
+    const DURABLE: bool = false;
+    type Point = ValidatePoint;
+    type Value = Vec<Check>;
 
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, ValidatePoint)> {
+        use ValidatePoint as P;
         let mut plan = Vec::new();
         for preset in Preset::clusters() {
             for kind in oracles::OracleKind::ALL {
-                plan.push(SweepPoint::new(
-                    plan.len(),
-                    format!("oracle {} on {}", kind.name(), preset.spec().name),
-                ));
+                let label = format!("oracle {} on {}", kind.name(), preset.spec().name);
+                plan.push((label, P::Oracle(preset, kind)));
             }
         }
         for fabric in FabricPreset::ALL {
             for kind in collective::CollectiveOracle::ALL {
-                plan.push(SweepPoint::new(
-                    plan.len(),
-                    format!("collective oracle {} on {} fabric", kind.name(), fabric.name()),
-                ));
+                let label = format!(
+                    "collective oracle {} on {} fabric",
+                    kind.name(),
+                    fabric.name()
+                );
+                plan.push((label, P::CollectiveOracle(fabric, kind)));
             }
         }
+        let n = meta_count(fidelity);
         for inv in metamorphic::Invariant::ALL {
-            plan.push(SweepPoint::new(
-                plan.len(),
-                format!("metamorphic {} ({} scenarios)", inv.name(), meta_count(fidelity)),
-            ));
+            let label = format!("metamorphic {} ({} scenarios)", inv.name(), n);
+            plan.push((label, P::Metamorphic(inv, n)));
         }
+        let n = coll_meta_count(fidelity);
         for inv in collective::CollectiveInvariant::ALL {
-            plan.push(SweepPoint::new(
-                plan.len(),
-                format!(
-                    "collective invariant {} ({} schedules)",
-                    inv.name(),
-                    coll_meta_count(fidelity)
-                ),
-            ));
+            let label = format!("collective invariant {} ({} schedules)", inv.name(), n);
+            plan.push((label, P::CollectiveInvariant(inv, n)));
         }
-        let budget = fuzz_budget(fidelity);
-        for c in 0..fuzz_chunks(fidelity) {
-            let n = FUZZ_CHUNK.min(budget - c * FUZZ_CHUNK);
-            plan.push(SweepPoint::new(
-                plan.len(),
-                format!("differential fuzz chunk {} ({} scenarios)", c, n),
-            ));
+        let budget = self.fuzz_budget.unwrap_or_else(|| fidelity.choose(200, 60));
+        for chunk in 0..budget.div_ceil(FUZZ_CHUNK) {
+            let n = FUZZ_CHUNK.min(budget - chunk * FUZZ_CHUNK);
+            let label = format!("differential fuzz chunk {} ({} scenarios)", chunk, n);
+            plan.push((label, P::Fuzz { chunk, n }));
         }
-        plan.push(SweepPoint::new(
-            plan.len(),
-            format!(
-                "collective differential fuzz ({} schedules)",
-                coll_fuzz_count(fidelity)
-            ),
-        ));
+        let n = coll_fuzz_count(fidelity);
+        let label = format!("collective differential fuzz ({} schedules)", n);
+        plan.push((label, P::CollectiveFuzz(n)));
         plan
     }
 
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        let kinds = oracles::OracleKind::ALL.len();
-        let outcomes: Vec<simcheck::Outcome> = if point.index < Self::oracle_points() {
-            let preset = Preset::clusters()[point.index / kinds];
-            let kind = oracles::OracleKind::ALL[point.index % kinds];
-            kind.run(&preset.spec())
-        } else if point.index < Self::meta_base(ctx.fidelity) {
-            let i = point.index - Self::oracle_points();
-            let ckinds = collective::CollectiveOracle::ALL.len();
-            let fabric = FabricPreset::ALL[i / ckinds];
-            let kind = collective::CollectiveOracle::ALL[i % ckinds];
-            kind.run(fabric)
-        } else if point.index < Self::coll_meta_base(ctx.fidelity) {
-            let inv = metamorphic::Invariant::ALL[point.index - Self::meta_base(ctx.fidelity)];
-            vec![inv.check(ctx.seed, meta_count(ctx.fidelity))]
-        } else if point.index < Self::fuzz_base(ctx.fidelity) {
-            let inv = collective::CollectiveInvariant::ALL
-                [point.index - Self::coll_meta_base(ctx.fidelity)];
-            vec![inv.check(ctx.seed, coll_meta_count(ctx.fidelity))]
-        } else if point.index == Self::coll_fuzz_index(ctx.fidelity) {
-            vec![collective::fuzz_collectives(
-                ctx.seed,
-                coll_fuzz_count(ctx.fidelity),
-            )]
-        } else {
-            let chunk = point.index - Self::fuzz_base(ctx.fidelity);
-            let budget = fuzz_budget(ctx.fidelity);
-            let n = FUZZ_CHUNK.min(budget - chunk * FUZZ_CHUNK);
-            let report = fuzz::run(ctx.seed, n, &GenConfig::default());
-            if let Ok(dir) = std::env::var("SIMCHECK_FAILURE_DIR") {
-                for f in &report.failures {
-                    let _ = std::fs::create_dir_all(&dir);
-                    let path = format!("{}/fuzz-seed-{:016x}.txt", dir, f.seed);
-                    let body = format!(
-                        "seed: {:#018x}\nreason: {}\nshrunk {} -> {} events\n\n{}",
-                        f.seed, f.reason, f.events_before, f.events_after, f.script
-                    );
-                    let _ = std::fs::write(path, body);
-                }
-            }
-            let detail = match report.failures.first() {
-                None => format!("{} scenarios, 0 divergences", report.scenarios),
-                Some(f) => format!(
-                    "{} divergence(s) in {} scenarios; first: seed {:#018x}, {}, shrunk to {} \
-                     event(s):\n{}",
-                    report.failures.len(),
-                    report.scenarios,
-                    f.seed,
-                    f.reason,
-                    f.events_after,
-                    f.script
-                ),
-            };
-            vec![simcheck::Outcome::bool(
-                format!("fuzz chunk {} [{} scenario(s)]", chunk, report.scenarios),
-                report.failures.is_empty(),
-                detail,
-            )]
+    fn measure(&self, point: &ValidatePoint, ctx: &PointCtx<'_>) -> Result<Vec<Check>, String> {
+        let outcomes: Vec<simcheck::Outcome> = match *point {
+            ValidatePoint::Oracle(preset, kind) => kind.run(&preset.spec()),
+            ValidatePoint::CollectiveOracle(fabric, kind) => kind.run(fabric),
+            ValidatePoint::Metamorphic(inv, n) => vec![inv.check(ctx.seed, n)],
+            ValidatePoint::CollectiveInvariant(inv, n) => vec![inv.check(ctx.seed, n)],
+            ValidatePoint::CollectiveFuzz(n) => vec![collective::fuzz_collectives(ctx.seed, n)],
+            ValidatePoint::Fuzz { chunk, n } => vec![fuzz_chunk(chunk, n, ctx.seed)],
         };
-        Ok(Box::new(outcomes))
+        Ok(outcomes
+            .into_iter()
+            .map(|o| Check::new(o.name, o.pass, o.detail))
+            .collect())
     }
 
-    fn finalize(&self, fidelity: Fidelity, points: &[campaign::PointOutcome]) -> Vec<FigureData> {
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, Vec<Check>>) -> Vec<FigureData> {
         let mut checks = Vec::new();
         let mut oracle_n = 0usize;
         let mut meta_n = 0usize;
         let mut fuzz_scenarios = 0usize;
-        for p in points {
-            let outcomes = expect_value::<Vec<simcheck::Outcome>>(points, p.index);
-            for o in outcomes {
-                if p.index < Self::meta_base(fidelity) {
-                    oracle_n += 1;
-                } else if p.index < Self::fuzz_base(fidelity) {
-                    meta_n += 1;
-                } else if let Some(n) = o
-                    .name
-                    .rsplit('[')
-                    .next()
-                    .and_then(|t| t.split_whitespace().next())
-                    .and_then(|t| t.parse::<usize>().ok())
-                {
-                    fuzz_scenarios += n;
+        for ((_, point), point_checks) in self.sweep(fidelity).iter().zip(values.iter()) {
+            match *point {
+                ValidatePoint::Oracle(..) | ValidatePoint::CollectiveOracle(..) => {
+                    oracle_n += point_checks.len()
                 }
-                checks.push(Check::new(o.name.clone(), o.pass, o.detail.clone()));
+                ValidatePoint::Metamorphic(..) | ValidatePoint::CollectiveInvariant(..) => {
+                    meta_n += point_checks.len()
+                }
+                ValidatePoint::Fuzz { n, .. } | ValidatePoint::CollectiveFuzz(n) => {
+                    fuzz_scenarios += n
+                }
             }
+            checks.extend(point_checks.iter().cloned());
         }
         let failed = checks.iter().filter(|c| !c.pass).count();
         vec![FigureData {
@@ -283,40 +203,77 @@ impl Experiment for Validate {
     }
 }
 
-/// Run the validation campaign serially at the given fidelity.
-pub fn run(fidelity: Fidelity) -> FigureData {
-    campaign::run_experiment(&Validate, &campaign::CampaignOptions::serial(fidelity))
-        .figures
-        .remove(0)
+/// Differential fuzz of `n` random fluid scenarios (one budget chunk).
+fn fuzz_chunk(chunk: usize, n: usize, seed: u64) -> simcheck::Outcome {
+    let report = fuzz::run(seed, n, &GenConfig::default());
+    if let Ok(dir) = std::env::var("SIMCHECK_FAILURE_DIR") {
+        for f in &report.failures {
+            let _ = std::fs::create_dir_all(&dir);
+            let path = format!("{}/fuzz-seed-{:016x}.txt", dir, f.seed);
+            let body = format!(
+                "seed: {:#018x}\nreason: {}\nshrunk {} -> {} events\n\n{}",
+                f.seed, f.reason, f.events_before, f.events_after, f.script
+            );
+            let _ = std::fs::write(path, body);
+        }
+    }
+    let detail = match report.failures.first() {
+        None => format!("{} scenarios, 0 divergences", report.scenarios),
+        Some(f) => format!(
+            "{} divergence(s) in {} scenarios; first: seed {:#018x}, {}, shrunk to {} \
+             event(s):\n{}",
+            report.failures.len(),
+            report.scenarios,
+            f.seed,
+            f.reason,
+            f.events_after,
+            f.script
+        ),
+    };
+    simcheck::Outcome::bool(
+        format!("fuzz chunk {} [{} scenario(s)]", chunk, report.scenarios),
+        report.failures.is_empty(),
+        detail,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_experiment, CampaignOptions};
 
     #[test]
     fn quick_validation_passes_every_check() {
-        let f = run(Fidelity::Quick);
+        let validate = Validate { fuzz_budget: None };
+        let f = run_experiment(&validate, &CampaignOptions::serial(Fidelity::Quick))
+            .figures
+            .remove(0);
         for c in &f.checks {
             assert!(c.pass, "{} — {}", c.name, c.detail);
         }
         // All three layers contributed.
-        assert!(f.checks.len() > Validate::oracle_points());
+        let oracle_points = Preset::clusters().len() * oracles::OracleKind::ALL.len();
+        assert!(f.checks.len() > oracle_points);
         assert!(f.title.contains("0 failure(s)"), "{}", f.title);
     }
 
     #[test]
-    fn plan_respects_fuzz_budget_env() {
-        // Serialized via the campaign engine elsewhere; here just exercise
-        // the chunk arithmetic.
-        let plan = Validate.plan(Fidelity::Quick);
-        // The last point is the collective fuzz; the fluid chunks sit
-        // between fuzz_base and it.
-        let fuzz_points = plan.len() - 1 - Validate::fuzz_base(Fidelity::Quick);
-        assert_eq!(fuzz_points, fuzz_budget(Fidelity::Quick).div_ceil(FUZZ_CHUNK));
-        assert_eq!(
-            Validate::coll_fuzz_index(Fidelity::Quick),
-            plan.len() - 1
-        );
+    fn plan_respects_fuzz_budget() {
+        let fuzz_chunks = |fuzz_budget| {
+            let plan = Validate { fuzz_budget }.sweep(Fidelity::Quick);
+            assert!(matches!(
+                plan.last(),
+                Some((_, ValidatePoint::CollectiveFuzz(6)))
+            ));
+            plan.iter()
+                .filter_map(|(_, p)| match *p {
+                    ValidatePoint::Fuzz { chunk, n } => Some((chunk, n)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fuzz_chunks(Some(120)), [(0, 50), (1, 50), (2, 20)]);
+        // The Quick default budget is 60.
+        assert_eq!(fuzz_chunks(None), [(0, 50), (1, 10)]);
     }
 }

@@ -8,13 +8,15 @@
 //!   (computation alone → communication alone → both together), with
 //!   median/decile statistics over seeded repetitions;
 //! * [`experiments`] — one driver per figure/table of the paper
-//!   (`fig1_frequency` … `fig10_usecases`, `table1`), each implementing
-//!   the [`campaign::Experiment`] trait and returning
-//!   [`report::FigureData`] with the simulated series, the paper's
-//!   reference findings and automated qualitative checks;
-//! * [`campaign`] — the declarative campaign engine: sweep plans,
+//!   (`fig1_frequency` … `fig10_usecases`, `table1`), each declared once
+//!   as a typed [`campaign::Sweep`] (points, a measurement, figures) and
+//!   returning [`report::FigureData`] with the simulated series, the
+//!   paper's reference findings and automated qualitative checks;
+//! * [`campaign`] — the declarative campaign engine: plan indices,
 //!   deterministic per-point seeding, a worker pool, per-point
 //!   crash-proofing, timeouts and baseline memoization;
+//! * [`codec`] — the one exact-bits value codec ([`codec::Codec`]) behind
+//!   the result store;
 //! * [`store`] — the content-addressed on-disk result store behind
 //!   `repro --store/--resume`: atomic writes, checksummed entries,
 //!   corruption quarantine;

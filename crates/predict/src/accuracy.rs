@@ -17,8 +17,8 @@
 //!   lower the baseline to pass);
 //! * re-trains and byte-compares the model file (determinism gate).
 
-use interference::campaign::{Experiment, PointCtx, PointOutcome, PointValue, SweepPoint};
-use interference::experiments::harvest::{self, Harvest, TrainingPair};
+use interference::campaign::{Experiment, PointCtx, Sweep, Values};
+use interference::experiments::harvest::{self, Harvest, PairSpec, TrainingPair};
 use interference::experiments::Fidelity;
 use interference::report::{Check, FigureData};
 use simcore::Series;
@@ -247,36 +247,25 @@ pub fn evaluate(pairs: &[TrainingPair]) -> AccuracyReport {
     }
 }
 
-impl Experiment for PredictAccuracy {
-    fn name(&self) -> &'static str {
-        "predict_accuracy"
+impl Sweep for PredictAccuracy {
+    const NAME: &'static str = "predict_accuracy";
+    const ANCHOR: &'static str = "counter-driven slowdown prediction vs ground truth (arXiv 2410.18126; spread per Hunold & Carpen-Amarie)";
+    type Point = PairSpec;
+    type Value = TrainingPair;
+
+    fn sweep(&self, fidelity: Fidelity) -> Vec<(String, PairSpec)> {
+        GRID.sweep(fidelity)
     }
 
-    fn anchor(&self) -> &'static str {
-        "counter-driven slowdown prediction vs ground truth (arXiv 2410.18126; spread per Hunold & Carpen-Amarie)"
+    fn measure(&self, spec: &PairSpec, ctx: &PointCtx<'_>) -> Result<TrainingPair, String> {
+        GRID.measure(spec, ctx)
     }
 
-    fn plan(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        GRID.plan(fidelity)
-    }
-
-    fn run_point(&self, point: &SweepPoint, ctx: &PointCtx<'_>) -> Result<PointValue, String> {
-        GRID.run_point(point, ctx)
-    }
-
-    fn encode_value(&self, value: &PointValue) -> Option<Vec<u8>> {
-        GRID.encode_value(value)
-    }
-
-    fn decode_value(&self, bytes: &[u8]) -> Option<PointValue> {
-        GRID.decode_value(bytes)
-    }
-
-    fn finalize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> Vec<FigureData> {
-        let pairs = harvest::collect_pairs(points);
+    fn figures(&self, fidelity: Fidelity, values: Values<'_, TrainingPair>) -> Vec<FigureData> {
+        let pairs: Vec<TrainingPair> = values.present().cloned().collect();
         let mut checks = Vec::new();
         let mut notes = Vec::new();
-        let planned = GRID.specs(fidelity).len();
+        let planned = values.len();
         checks.push(Check::new(
             "harvest complete",
             pairs.len() == planned,

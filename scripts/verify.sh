@@ -22,6 +22,16 @@ if grep -rnE 'static [A-Z_]+: .*Atomic(Bool|U8)' crates/*/src; then
   exit 1
 fi
 
+echo "==> experiment drivers stay typed"
+# Drivers declare typed points and values once (campaign::Sweep, DESIGN.md
+# §8); plan indices, downcasts and value codecs belong to the campaign
+# engine alone.
+if grep -rnE 'point\.index|downcast_ref|expect_value|fn (en|de)code_value' \
+  crates/core/src/experiments crates/predict/src; then
+  echo "index arithmetic, downcast or codec in a driver: declare it with campaign::Sweep" >&2
+  exit 1
+fi
+
 echo "==> repro smoke: one figure through the parallel campaign engine"
 cargo run --release -p bench --bin repro -- --quick --only fig1 --jobs 2
 

@@ -5,7 +5,7 @@ use interference::campaign::{run_set, CampaignOptions};
 use interference::experiments::{self, Fidelity};
 use interference::results::figures_to_json;
 
-/// The registry's names, in `run_all` / `run_extensions` order. This list
+/// The registry's names, in `--all` / `--ext` order. This list
 /// is load-bearing: `repro --only` and the CSV/JSON exports key off these
 /// names, and the order fixes the figure order of `repro --all`.
 const EXPECTED: [&str; 17] = [
@@ -56,13 +56,24 @@ fn find_resolves_every_name_and_rejects_unknowns() {
 
 #[test]
 fn plans_are_dense_and_labelled() {
-    for e in experiments::all_experiments() {
+    let outside = [
+        experiments::VALIDATION_EXPERIMENT,
+        experiments::HARVEST_EXPERIMENT,
+    ];
+    for e in experiments::all_experiments().into_iter().chain(outside) {
         for fidelity in [Fidelity::Quick, Fidelity::Full] {
             let plan = e.plan(fidelity);
             assert!(!plan.is_empty(), "{} has an empty plan", e.name());
+            let mut labels = std::collections::HashSet::new();
             for (i, p) in plan.iter().enumerate() {
                 assert_eq!(p.index, i, "{} plan indices not dense", e.name());
                 assert!(!p.label.is_empty(), "{} point {} unlabelled", e.name(), i);
+                assert!(
+                    labels.insert(&p.label),
+                    "{}: label {:?} repeats",
+                    e.name(),
+                    p.label
+                );
             }
         }
     }
