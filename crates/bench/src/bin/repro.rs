@@ -40,7 +40,9 @@
 //! mid-flight picks up where it left off — with exports byte-identical to
 //! an uninterrupted run (point seeds derive from the plan, never from
 //! execution order or wall time). Corrupt or torn entries are detected by
-//! checksum, quarantined, and recomputed — never served.
+//! checksum, quarantined, and recomputed — never served. A restored point
+//! has no journal, so with `--trace` nothing is restored: every point is
+//! recomputed (and still persisted), and a stderr note says so.
 //!
 //! `--timeout SECS` arms a per-point wall-clock deadline: a wedged point is
 //! cooperatively cancelled at the next simulation event and recorded as
@@ -291,6 +293,10 @@ fn campaign_cli(a: &Args) {
         return;
     }
     let store = open_store(a);
+    if a.resume && a.trace_path.is_some() {
+        // Restored points carry no journal (campaign::execute_point).
+        eprintln!("note: --trace records every point, so --resume restores none: all points are recomputed");
+    }
 
     let validate = Validate {
         fuzz_budget: a.fuzz_budget,
@@ -628,7 +634,6 @@ struct Digest {
     instants: u64,
     inserts: u64,
     cancels: u64,
-    parallel: u64,
     probes: u64,
     bin_hits: u64,
     route_hits: u64,
@@ -651,7 +656,6 @@ impl Digest {
             instants: c("engine.queue.batch_instants"),
             inserts: c("engine.queue.inserts"),
             cancels: c("engine.queue.cancels"),
-            parallel: c("fluid.parallel_components"),
             probes: c("mpi.match.probes"),
             bin_hits: c("mpi.match.bin_hit"),
             route_hits: c("net.route.intern_hit"),
@@ -757,8 +761,7 @@ fn print_timings(
 
 /// Engine-throughput digest: events processed and events/sec over
 /// campaign busy time, same-instant batching effectiveness (allocator
-/// passes saved vs one-pass-per-event), timer-queue traffic, and parallel
-/// component-solve engagement.
+/// passes saved vs one-pass-per-event) and timer-queue traffic.
 fn print_engine_throughput(d: &Digest) {
     if d.events == 0 {
         return;
@@ -781,14 +784,6 @@ fn print_engine_throughput(d: &Digest) {
         "   timer queue: {} insert(s), {} cancel(s)",
         d.inserts, d.cancels
     );
-    if d.parallel > 0 {
-        println!(
-            "   parallel solver: {} component(s) solved in parallel",
-            d.parallel
-        );
-    } else {
-        println!("   parallel solver: not engaged (workload below threshold)");
-    }
 }
 
 /// Collective fast-path digest: message-matching bin hits vs probe scans,
@@ -888,14 +883,13 @@ fn timings_json(
         }
         out.push('}');
         out.push_str(&format!(
-            ",\"engine\":{{\"events\":{},\"events_per_busy_s\":{:.0},\"batch_instants\":{},\"allocator_passes_saved\":{},\"queue_inserts\":{},\"queue_cancels\":{},\"parallel_components\":{}}}",
+            ",\"engine\":{{\"events\":{},\"events_per_busy_s\":{:.0},\"batch_instants\":{},\"allocator_passes_saved\":{},\"queue_inserts\":{},\"queue_cancels\":{}}}",
             d.events,
             d.events_per_s(),
             d.instants,
             d.passes_saved(),
             d.inserts,
             d.cancels,
-            d.parallel,
         ));
     }
     out.push('}');

@@ -40,3 +40,26 @@ fn usage_errors_exit_2() {
 fn list_exits_0() {
     assert_eq!(exit_code("--list"), 0);
 }
+
+/// `--trace` bypasses restore (a restored point has no journal to
+/// record), so `--trace --resume` says so on stderr and still succeeds.
+#[test]
+fn trace_with_resume_notes_the_recompute() {
+    let base = std::env::temp_dir().join(format!("repro-trace-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let store = base.join("store").to_str().unwrap().to_string();
+    let trace = base.join("trace.json").to_str().unwrap().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--quick", "--only", "fig1", "--store", &store, "--resume", "--trace", &trace,
+        ])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("--resume restores none: all points are recomputed"),
+        "missing note: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -113,13 +113,16 @@ mod tests {
 
     #[test]
     fn reference_values_consistent() {
-        assert!(LAT_US_AT_1000MHZ > LAT_US_AT_2300MHZ);
-        assert!((LAT_CORE_FREQ_RATIO - 1.72).abs() < 0.01);
-        assert!(BW_AT_UNCORE_MAX > BW_AT_UNCORE_MIN);
-        assert!(FIG2_LAT_TOGETHER_US < FIG2_LAT_ALONE_US);
-        assert!(FIG3_T20_MS > FIG3_T4_MS);
-        assert!(FIG10_CG_LOSS > FIG10_GEMM_LOSS);
-        assert!(FIG10_CG_STALLS > FIG10_GEMM_STALLS);
-        assert!(FIG6_5CORES_COMM_ONSET > FIG6_5CORES_STREAM_ONSET);
+        // Compile-time checks: a wrong constant fails the build.
+        const {
+            assert!(LAT_US_AT_1000MHZ > LAT_US_AT_2300MHZ);
+            assert!((LAT_CORE_FREQ_RATIO - 1.72).abs() < 0.01);
+            assert!(BW_AT_UNCORE_MAX > BW_AT_UNCORE_MIN);
+            assert!(FIG2_LAT_TOGETHER_US < FIG2_LAT_ALONE_US);
+            assert!(FIG3_T20_MS > FIG3_T4_MS);
+            assert!(FIG10_CG_LOSS > FIG10_GEMM_LOSS);
+            assert!(FIG10_CG_STALLS > FIG10_GEMM_STALLS);
+            assert!(FIG6_5CORES_COMM_ONSET > FIG6_5CORES_STREAM_ONSET);
+        }
     }
 }

@@ -39,9 +39,10 @@ pub struct RunOutcome {
     pub rep: u32,
     /// Seed the (final) attempt ran with.
     pub seed: u64,
-    /// `"ok"`, `"recovered"` or `"failed"`.
+    /// `"ok"`, `"recovered"`, `"failed"` or `"timeout"`
+    /// ([`crate::runner::RunStatus::label`]).
     pub status: &'static str,
-    /// Error text for failed/recovered runs.
+    /// Error text for failed/recovered/timed-out runs.
     pub error: Option<String>,
     /// Rendezvous retransmissions across all sends of the rep.
     pub retries: u64,

@@ -28,7 +28,7 @@ fn num(v: f64) -> String {
 ///                              "min":…, "max":…, "n":…} ] } ],
 ///   "notes": [...],
 ///   "checks": [ {"name": "...", "pass": true, "detail": "..."} ],
-///   "runs": [ {"rep":…, "seed":…, "status":"ok|recovered|failed",
+///   "runs": [ {"rep":…, "seed":…, "status":"ok|recovered|failed|timeout",
 ///              "error":null, "retries":…, "retrans_bytes":…,
 ///              "retry_wait_s":…} ] }
 /// ```

@@ -165,7 +165,8 @@ pub fn rank_eval(pairs: &[TrainingPair], params: &Params) -> RankEval {
 }
 
 /// Minimal flat-JSON reader for the ratchet baseline: `{"key": number,
-/// ...}`, no nesting. Returns `None` on any malformation.
+/// ...}`, no nesting. Returns `None` on any malformation, including a
+/// repeated key (a merge slip must not silently move a ratchet bar).
 pub fn parse_baseline(text: &str) -> Option<std::collections::BTreeMap<String, f64>> {
     let t = text.trim();
     let inner = t.strip_prefix('{')?.strip_suffix('}')?;
@@ -177,7 +178,9 @@ pub fn parse_baseline(text: &str) -> Option<std::collections::BTreeMap<String, f
         }
         let (k, v) = entry.split_once(':')?;
         let key = k.trim().strip_prefix('"')?.strip_suffix('"')?.to_string();
-        map.insert(key, v.trim().parse::<f64>().ok()?);
+        if map.insert(key, v.trim().parse::<f64>().ok()?).is_some() {
+            return None;
+        }
     }
     Some(map)
 }
@@ -419,6 +422,7 @@ mod tests {
         assert!((m["quick.mape.henri"] - 0.05).abs() < 1e-12);
         assert!(parse_baseline("not json").is_none());
         assert!(parse_baseline("{\"a\": nope}").is_none());
+        assert!(parse_baseline("{\"a\": 0.05, \"b\": 1.0, \"a\": 0.5}").is_none());
     }
 
     #[test]

@@ -337,9 +337,6 @@ impl Engine {
                 telemetry::counter_add("fluid.components", stats.components);
                 telemetry::counter_add("fluid.realloc_flows_visited", stats.flows_visited);
             }
-            if stats.parallel_components > 0 {
-                telemetry::counter_add("fluid.parallel_components", stats.parallel_components);
-            }
             if stats.waterfill > 0 {
                 telemetry::counter_add("fluid.waterfill", stats.waterfill);
             }

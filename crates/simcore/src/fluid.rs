@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::paths::{SimPaths, Solve};
+use crate::paths::SimPaths;
 use crate::telemetry;
 
 /// Identifies a resource inside a [`FluidNet`].
@@ -153,32 +153,11 @@ pub struct ReallocStats {
     pub components: u64,
     /// Total flows across the re-solved components.
     pub flows_visited: u64,
-    /// Components that were solved on the scoped thread pool (0 when the
-    /// pass ran serially). Feeds the `fluid.parallel_components` counter.
-    pub parallel_components: u64,
     /// Components solved by the single-flow waterfill fast path (exact-bits
     /// shortcut of the progressive fill). Feeds the `fluid.waterfill`
     /// counter.
     pub waterfill: u64,
 }
-
-/// In auto mode, the minimum total flows across a pass's dirty components
-/// before the scoped thread pool is worth its spawn cost. Deliberately a
-/// function of workload shape only (never of the host's core count), so the
-/// `fluid.parallel_components` counter — and with it the telemetry journal —
-/// stays machine-independent.
-pub const PARALLEL_FLOW_THRESHOLD: u64 = 4096;
-
-/// Worker-thread ceiling for one parallel reallocation pass.
-const PARALLEL_MAX_WORKERS: usize = 8;
-
-/// In auto mode, the minimum *average* flows per dirty component before the
-/// pool engages. Fabric collectives dirty thousands of one-flow components
-/// (per-message receive-overhead flows) whose total crosses
-/// [`PARALLEL_FLOW_THRESHOLD`] while each solve is microseconds — spawning
-/// workers for those is pure overhead. Like the flow threshold, this is a
-/// function of workload shape only, never of the host's core count.
-pub const PARALLEL_MIN_COMPONENT_FLOWS: u64 = 64;
 
 /// The set of resources and active flows, with max-min allocation.
 #[derive(Default)]
@@ -187,8 +166,6 @@ pub struct FluidNet {
     /// [`reference::reallocate`] ([`SimPaths::reference_solver`], fixed at
     /// construction).
     reference: bool,
-    /// Component scheduling ([`SimPaths::solve`], fixed at construction).
-    solve: Solve,
     resources: Vec<Resource>,
     /// Flow slab in structure-of-arrays layout; freed slots are reused via
     /// `free`. Slot numbers are meaningless outside this struct — flows are
@@ -209,6 +186,11 @@ pub struct FluidNet {
     res_mark: Vec<u64>,
     slot_mark: Vec<u64>,
     epoch: u64,
+    /// Scratch for the component being re-solved, reused across
+    /// components and passes: its resources (ascending, after discovery)
+    /// and its flow slots (ascending [`FlowId`]).
+    comp_res: Vec<u32>,
+    comp_slots: Vec<u32>,
     next_flow: u64,
     dirty: bool,
 }
@@ -238,8 +220,7 @@ fn mark_res(res_dirty: &mut [bool], dirty_list: &mut Vec<u32>, r: ResourceId) {
 
 impl FluidNet {
     /// Create an empty network on the solver this thread's [`SimPaths`]
-    /// selects. (`FluidNet::default()` is always the incremental, auto-mode
-    /// solver.)
+    /// selects. (`FluidNet::default()` is always the incremental solver.)
     pub fn new() -> Self {
         let paths = SimPaths::current();
         if paths.reference_solver {
@@ -247,7 +228,6 @@ impl FluidNet {
         }
         FluidNet {
             reference: paths.reference_solver,
-            solve: paths.solve,
             ..FluidNet::default()
         }
     }
@@ -469,154 +449,66 @@ impl FluidNet {
         }
         self.epoch += 1;
         let epoch = self.epoch;
-        let seeds = std::mem::take(&mut self.dirty_list);
-        // Phase 1: discover every dirty component up front. Components land
-        // in two flat buffers (`all_res` / `all_slots`) addressed by ranges,
-        // so discovery allocates O(1) vectors regardless of component count.
-        let mut all_res: Vec<u32> = Vec::new();
-        let mut all_slots: Vec<u32> = Vec::new();
-        // (res_start, res_end, slot_start, slot_end) per component.
-        let mut comps: Vec<(usize, usize, usize, usize)> = Vec::new();
-        let mut queue: Vec<u32> = Vec::new();
+        let mut seeds = std::mem::take(&mut self.dirty_list);
+        // Discover, solve and apply each dirty component in seed order.
+        // Components are disjoint, so solving one never changes what a
+        // later seed discovers. `comp_res` doubles as the BFS worklist.
         for &seed in &seeds {
             self.res_dirty[seed as usize] = false;
             if self.res_mark[seed as usize] == epoch {
                 continue; // already gathered as part of an earlier seed's component
             }
-            let res_start = all_res.len();
-            let slot_start = all_slots.len();
-            queue.clear();
+            self.comp_res.clear();
+            self.comp_slots.clear();
             self.res_mark[seed as usize] = epoch;
-            queue.push(seed);
-            while let Some(r) = queue.pop() {
-                all_res.push(r);
+            self.comp_res.push(seed);
+            let mut next = 0;
+            while next < self.comp_res.len() {
+                let r = self.comp_res[next];
+                next += 1;
                 for &s in &self.members[r as usize] {
                     if self.slot_mark[s as usize] == epoch {
                         continue;
                     }
                     self.slot_mark[s as usize] = epoch;
-                    all_slots.push(s);
+                    self.comp_slots.push(s);
                     for &pr in &self.arena.path[s as usize] {
                         if self.res_mark[pr.index()] != epoch {
                             self.res_mark[pr.index()] = epoch;
-                            queue.push(pr.0);
+                            self.comp_res.push(pr.0);
                         }
                     }
                 }
             }
-            if all_slots.len() == slot_start {
+            if self.comp_slots.is_empty() {
                 // Dirty resource with no flows left: just clear its allocation.
-                all_res.truncate(res_start);
                 self.resources[seed as usize].allocated = 0.0;
                 continue;
             }
             // Canonical order (BFS discovery order is traversal-dependent).
-            all_res[res_start..].sort_unstable();
+            self.comp_res.sort_unstable();
             let ids = &self.arena.id;
-            all_slots[slot_start..].sort_unstable_by_key(|&s| ids[s as usize]);
-            comps.push((res_start, all_res.len(), slot_start, all_slots.len()));
+            self.comp_slots.sort_unstable_by_key(|&s| ids[s as usize]);
             stats.components += 1;
-            stats.flows_visited += (all_slots.len() - slot_start) as u64;
-        }
-
-        // Phase 2: solve. Components are disjoint, each solve is a pure
-        // function of the (now immutable) arena, and solutions are applied
-        // serially in component order — so the scoped thread pool produces
-        // byte-identical state to the serial loop (DESIGN.md §13).
-        let parallel = match self.solve {
-            Solve::Serial => false,
-            Solve::Parallel => comps.len() >= 2,
-            // Auto: a function of workload shape only, never of the host's
-            // core count — keeps telemetry counters machine-independent.
-            // Fabric-shaped passes (many tiny components) stay serial even
-            // at high flow totals: the per-component solves are too small
-            // to amortize a worker spawn.
-            Solve::Auto => {
-                comps.len() >= 2
-                    && stats.flows_visited >= PARALLEL_FLOW_THRESHOLD
-                    && stats.flows_visited / comps.len() as u64 >= PARALLEL_MIN_COMPONENT_FLOWS
-            }
-        };
-        if !parallel {
-            for &(rs, re, ss, se) in &comps {
-                let sol = solve_region(
-                    &self.resources,
-                    &self.arena,
-                    &all_res[rs..re],
-                    &all_slots[ss..se],
-                );
-                stats.waterfill += u64::from(sol.waterfill);
-                apply_region(
-                    &mut self.resources,
-                    &mut self.arena,
-                    &all_res[rs..re],
-                    &all_slots[ss..se],
-                    &sol,
-                );
-            }
-            return stats;
-        }
-
-        stats.parallel_components = stats.components;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(comps.len())
-            .min(PARALLEL_MAX_WORKERS);
-        let mut solutions: Vec<Option<RegionSolution>> = Vec::new();
-        solutions.resize_with(comps.len(), || None);
-        {
-            let resources = &self.resources;
-            let arena = &self.arena;
-            let all_res = &all_res;
-            let all_slots = &all_slots;
-            let comps = &comps;
-            std::thread::scope(|scope| {
-                // Deterministic round-robin assignment: worker `w` takes
-                // components w, w+W, w+2W… (scheduling cannot change which
-                // worker solves which component, only when).
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut ci = w;
-                            while ci < comps.len() {
-                                let (rs, re, ss, se) = comps[ci];
-                                out.push((
-                                    ci,
-                                    solve_region(
-                                        resources,
-                                        arena,
-                                        &all_res[rs..re],
-                                        &all_slots[ss..se],
-                                    ),
-                                ));
-                                ci += workers;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (ci, sol) in h.join().expect("component solver panicked") {
-                        solutions[ci] = Some(sol);
-                    }
-                }
-            });
-        }
-        // Merge in component order (= ascending first-dirty-seed order),
-        // identical to the serial loop's write sequence.
-        for (ci, &(rs, re, ss, se)) in comps.iter().enumerate() {
-            let sol = solutions[ci].take().expect("every component solved");
+            stats.flows_visited += self.comp_slots.len() as u64;
+            let sol = solve_region(
+                &self.resources,
+                &self.arena,
+                &self.comp_res,
+                &self.comp_slots,
+            );
             stats.waterfill += u64::from(sol.waterfill);
             apply_region(
                 &mut self.resources,
                 &mut self.arena,
-                &all_res[rs..re],
-                &all_slots[ss..se],
+                &self.comp_res,
+                &self.comp_slots,
                 &sol,
             );
         }
+        // Hand the seed buffer back so the next pass reuses its capacity.
+        seeds.clear();
+        self.dirty_list = seeds;
         stats
     }
 
@@ -689,12 +581,12 @@ impl FluidNet {
 /// A solved component, local to its `comp_res`/`comp_slots` ordering:
 /// `rate[i]` for the i-th component slot, `alloc[lr]` for the lr-th
 /// component resource. Produced by [`solve_region`] (pure) and written back
-/// by [`apply_region`] — the split is what lets independent components be
-/// solved on worker threads while every state mutation stays on the caller.
+/// by [`apply_region`], a split that both the incremental and the reference
+/// solver share.
 struct RegionSolution {
     rate: Vec<f64>,
     alloc: Vec<f64>,
-    /// Solved by the single-flow waterfill fast path.
+    /// Taken by the single-flow waterfill fast path.
     waterfill: bool,
 }
 
@@ -747,8 +639,8 @@ fn solve_singleton(
     }
 }
 
-/// Solve one connected component by progressive filling, returning its
-/// rates and per-resource allocations without touching shared state.
+/// Progressive filling of one connected component: returns its rates and
+/// per-resource allocations without touching shared state.
 ///
 /// `comp_res` must be sorted ascending, `comp_slots` sorted by ascending
 /// [`FlowId`], and together they must form a closed component: every
@@ -939,9 +831,7 @@ fn solve_general(
 }
 
 /// Write a solved component back: rates on the flows, allocation totals on
-/// the component's resources. Always runs on the caller's thread; parallel
-/// passes apply solutions in component order so the final state is
-/// byte-identical to the serial loop.
+/// the component's resources.
 fn apply_region(
     resources: &mut [Resource],
     arena: &mut FlowArena,
@@ -1311,86 +1201,6 @@ mod tests {
         net.reallocate();
         assert_eq!(net.allocated(bus), 0.0);
         assert_eq!(net.demand(bus), 0.0);
-    }
-
-    /// Mixed multi-component net exercising shared resources, caps, weights
-    /// and multi-hop paths. Returns (net, flows, resources).
-    fn multi_component_net(groups: u32) -> (FluidNet, Vec<FlowId>, Vec<ResourceId>) {
-        let mut net = FluidNet::new();
-        let mut flows = Vec::new();
-        let mut rs = Vec::new();
-        for g in 0..groups {
-            let shared = net.add_resource(format!("rack{g}"), 50.0 + g as f64);
-            let wide = net.add_resource(format!("fab{g}"), 100.0);
-            rs.push(shared);
-            rs.push(wide);
-            for i in 0..5 {
-                flows.push(net.start_flow(FlowSpec {
-                    path: if i % 2 == 0 { vec![shared, wide] } else { vec![shared] },
-                    volume: 1e6,
-                    weight: 1.0 + f64::from(i) * 0.25,
-                    cap: if i == 3 { Some(7.5) } else { None },
-                    tag: u64::from(g * 8 + i),
-                }));
-            }
-        }
-        (net, flows, rs)
-    }
-
-    #[test]
-    fn parallel_components_match_serial_bitwise() {
-        let pinned = |solve| {
-            let paths = SimPaths {
-                solve,
-                ..SimPaths::FAST
-            };
-            SimPaths::scoped(paths, || multi_component_net(6))
-        };
-        let (mut serial, flows, rs) = pinned(Solve::Serial);
-        let (mut par, _, _) = pinned(Solve::Parallel);
-        let ss = serial.reallocate();
-        let sp = par.reallocate();
-        assert_eq!(ss.components, 6);
-        assert_eq!(ss.components, sp.components);
-        assert_eq!(ss.flows_visited, sp.flows_visited);
-        assert_eq!(ss.parallel_components, 0);
-        assert_eq!(sp.parallel_components, 6, "forced parallel must engage");
-        for &f in &flows {
-            assert_eq!(
-                serial.flow_rate(f).map(f64::to_bits),
-                par.flow_rate(f).map(f64::to_bits),
-                "flow {f:?}"
-            );
-        }
-        for &r in &rs {
-            assert_eq!(serial.allocated(r).to_bits(), par.allocated(r).to_bits(), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_auto_mode_engages_on_workload_shape_only() {
-        // Below threshold: two components, few flows — stays serial.
-        let (mut small, _, _) = multi_component_net(2);
-        assert_eq!(small.reallocate().parallel_components, 0);
-        // At threshold: flows_visited >= PARALLEL_FLOW_THRESHOLD across >= 2
-        // components engages the pool regardless of host core count.
-        let mut big = FluidNet::new();
-        let a = big.add_resource("a", 100.0);
-        let b = big.add_resource("b", 100.0);
-        let per = PARALLEL_FLOW_THRESHOLD / 2;
-        for i in 0..2 * per {
-            big.start_flow(FlowSpec {
-                path: vec![if i % 2 == 0 { a } else { b }],
-                volume: 1e9,
-                weight: 1.0,
-                cap: None,
-                tag: i,
-            });
-        }
-        let stats = big.reallocate();
-        assert_eq!(stats.components, 2);
-        assert_eq!(stats.flows_visited, 2 * per);
-        assert_eq!(stats.parallel_components, 2);
     }
 
     #[test]

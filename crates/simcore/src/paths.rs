@@ -3,8 +3,7 @@
 //! Three fast paths keep a live reference twin: the timing wheel
 //! (`queue::HeapQueue`), the incremental max-min solver
 //! (`fluid::reference`) and mpisim's indexed matcher (its linear scan).
-//! A [`SimPaths`] value selects one of each, plus the fluid solver's
-//! component scheduling. It is installed per thread by
+//! A [`SimPaths`] value selects one of each. It is installed per thread by
 //! [`SimPaths::scoped`] (the [`crate::cancel::scoped`] pattern) and read
 //! once when an `Engine`, `FluidNet` or mpisim `Cluster` is built — never
 //! per event. Adopting a twin bumps the telemetry counter
@@ -12,21 +11,6 @@
 //! per construction; the fast path bumps nothing. See DESIGN.md §13.6.
 
 use std::cell::Cell;
-
-/// How [`crate::FluidNet::reallocate`] schedules independent dirty
-/// components. The allocation is byte-identical in every mode: components
-/// are disjoint and solutions are applied in component order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Solve {
-    /// Solve on a scoped thread pool once a pass is large enough
-    /// ([`crate::fluid::PARALLEL_FLOW_THRESHOLD`]); serial otherwise.
-    #[default]
-    Auto,
-    /// Always solve serially.
-    Serial,
-    /// Solve on the thread pool whenever a pass has two or more components.
-    Parallel,
-}
 
 /// One selection of implementation paths. [`SimPaths::FAST`] (also
 /// [`SimPaths::default`]) is the production fast path everywhere.
@@ -41,8 +25,6 @@ pub struct SimPaths {
     /// mpisim clusters match messages with the single-queue linear scan
     /// instead of the indexed per-`(dst, src, tag)` bins.
     pub scan_match: bool,
-    /// Component scheduling of the fluid solver.
-    pub solve: Solve,
 }
 
 impl Default for SimPaths {
@@ -56,12 +38,11 @@ thread_local! {
 }
 
 impl SimPaths {
-    /// The production fast path: no reference twin, automatic solve mode.
+    /// The production fast path: no reference twin.
     pub const FAST: SimPaths = SimPaths {
         heap_queue: false,
         reference_solver: false,
         scan_match: false,
-        solve: Solve::Auto,
     };
 
     /// The selection installed on this thread (the default fast path unless

@@ -3,12 +3,12 @@
 
 use std::sync::Barrier;
 
-use simcore::{telemetry, Engine, SimPaths, SimTime, Solve};
+use simcore::{telemetry, Engine, SimPaths, SimTime};
 
 #[test]
 fn scoped_restores_previous_selection_on_panic() {
     let outer = SimPaths {
-        solve: Solve::Serial,
+        reference_solver: true,
         ..SimPaths::FAST
     };
     SimPaths::scoped(outer, || {

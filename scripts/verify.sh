@@ -10,8 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Tests, examples and benches are linted too, not only library code.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> no process-global path switches"
 # Reference paths are selected per thread through simcore::SimPaths
